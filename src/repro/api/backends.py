@@ -1,10 +1,10 @@
 """Pluggable execution backends for the sweep engine.
 
-The sweep engine (:mod:`repro.api.engine`) describes its work as a list of
-self-contained, picklable :class:`~repro.api.engine.SweepJob` objects; a
-*backend* decides where those jobs run:
+The sweep engine (:mod:`repro.api.engine`) describes its work as a stream of
+self-contained, picklable :class:`~repro.api.engine.SweepJob` objects, cut
+into chunks; a *backend* decides where those chunks run:
 
-* :class:`SerialBackend` — in the calling thread, one job at a time;
+* :class:`SerialBackend` — in the calling thread, one chunk at a time;
 * :class:`ThreadBackend` — a ``ThreadPoolExecutor`` fan-out (cheap to start,
   but the pure-Python kernel is GIL-serialized, so wall-clock gains are
   limited to validation/IO slack);
@@ -13,20 +13,16 @@ self-contained, picklable :class:`~repro.api.engine.SweepJob` objects; a
   (:meth:`SweepJob.to_wire`), so workers rebuild solvers from their own
   registry and never unpickle live solver state.
 
-Every backend returns the per-job record lists **in submission order** and
-jobs are deterministic, so the merged :class:`~repro.api.results.ResultSet`
-is byte-identical across backends, worker counts and chunk sizes —
-differential-tested in ``tests/api/test_backends.py``.
-
-Besides the all-at-once :meth:`run`, the built-in backends implement
-:meth:`stream_chunks`: an incremental mode that pulls pre-chunked jobs from
-an iterator (possibly lazily *generated* — the sweep engine feeds it
-generator-backed trace jobs), keeps at most a bounded window of chunks in
-flight, and yields each chunk's results **in submission order** as soon as
-its predecessors have been yielded.  Peak memory is proportional to the
-in-flight window, not the sweep size; the merged output stays byte-identical
-to :meth:`run`.  ``stream_chunks`` is optional for third-party backends —
-the engine falls back to :meth:`run` when it is absent.
+A backend implements one method, :meth:`ExecutionBackend.stream_chunks`: it
+pulls ``(tag, jobs)`` chunks from an iterator (possibly lazily *generated* —
+the sweep engine feeds it generator-backed trace jobs), keeps at most a
+bounded window of chunks in flight, and yields each chunk's per-job record
+lists **in submission order** as soon as its predecessors have been yielded.
+Jobs are deterministic, so the merged
+:class:`~repro.api.results.ResultSet` is byte-identical across backends,
+worker counts and chunk sizes — differential-tested in
+``tests/api/test_backends.py`` and ``tests/api/test_lattice.py``.  Peak
+memory is proportional to the in-flight window, not the sweep size.
 
 Selection goes through :func:`resolve_backend`: an explicit backend (name or
 instance) wins, then the ``REPRO_BACKEND`` environment variable, then the
@@ -135,20 +131,31 @@ def guard_progress(callback: ProgressCallback | None) -> ProgressCallback | None
     return report
 
 
+#: Chunk-completion callback for ``stream_chunks``: ``(tag, job_count)``,
+#: fired when a chunk *finishes* (possibly out of submission order).
+ChunkCallback = Callable[[object, int], None]
+
+
 @runtime_checkable
 class ExecutionBackend(Protocol):
     """Where sweep jobs run.  Implementations must preserve submission order."""
 
     name: str
 
-    def run(
+    def stream_chunks(
         self,
-        jobs: Sequence,
+        chunks: Iterable,
         *,
-        chunk_size: int | None = None,
-        on_progress: ProgressCallback | None = None,
-    ) -> list[list[RunRecord]]:
-        """Execute every job; returns one record list per job, in job order."""
+        on_chunk: ChunkCallback | None = None,
+        max_pending: int | None = None,
+    ) -> Iterator:
+        """Run ``(tag, jobs)`` chunks; yield ``(tag, per_job_records)`` in order.
+
+        ``chunks`` is pulled lazily, with at most ``max_pending`` chunks
+        submitted but not yet yielded; ``on_chunk(tag, job_count)`` fires as
+        each chunk finishes.  Raising from ``on_chunk`` (typically
+        :class:`StopSweep`) must cancel the not-yet-started chunks.
+        """
         ...
 
 
@@ -157,10 +164,6 @@ def auto_chunk_size(job_count: int, workers: int) -> int:
     if job_count <= 0:
         return 1
     return max(1, math.ceil(job_count / (max(workers, 1) * _CHUNKS_PER_WORKER)))
-
-
-def _chunked(jobs: Sequence, size: int) -> list[list]:
-    return [list(jobs[start : start + size]) for start in range(0, len(jobs), size)]
 
 
 def _run_chunk(jobs: Sequence) -> list[list[RunRecord]]:
@@ -241,12 +244,6 @@ def _absorb_obs(result):
     return result
 
 
-def _checked_chunk_size(chunk_size: int | None) -> int | None:
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be at least 1, got {chunk_size!r}")
-    return chunk_size
-
-
 def _effective_workers(n_jobs: int | None, job_count: int | None) -> int:
     from .engine import default_jobs  # lazy: engine imports us
 
@@ -257,56 +254,19 @@ def _effective_workers(n_jobs: int | None, job_count: int | None) -> int:
     return max(1, min(int(n_jobs), max(job_count, 1)))
 
 
-def _run_pool(
-    pool: Executor,
-    chunks: list[list],
-    job_count: int,
-    on_progress: ProgressCallback | None,
-    runner: Callable[[Sequence], list[list[RunRecord]]] = _run_chunk,
-) -> list[list[list[RunRecord]]]:
-    """Submit every chunk, report progress as chunks finish, keep order."""
-    traced = obs.is_enabled()
-    futures = {}
-    submitted_at = {}
-    for index, chunk in enumerate(chunks):
-        if traced:
-            submitted_at[index] = obs.now()
-        futures[pool.submit(runner, chunk)] = index
-    results: list[list[list[RunRecord]] | None] = [None] * len(chunks)
-    done = 0
-    pending = set(futures)
-    try:
-        while pending:
-            finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in finished:
-                index = futures[future]
-                results[index] = _absorb_obs(future.result())
-                if traced:
-                    obs.record_span(
-                        "sweep.chunk",
-                        submitted_at[index],
-                        obs.now(),
-                        chunk=index,
-                        jobs=len(chunks[index]),
-                    )
-                done += len(chunks[index])
-                if on_progress is not None:
-                    on_progress(done, job_count)
-    except BaseException:
-        # First failure wins: drop every not-yet-started chunk so the error
-        # reaches the caller without burning through the rest of the sweep.
-        for future in pending:
-            future.cancel()
-        raise
-    return results  # type: ignore[return-value]  (every slot was filled)
+def _pool_shape(n_jobs: int | None, max_pending: int | None) -> tuple[int, int]:
+    """Worker count and in-flight window of one streamed sweep.
 
-
-#: A chunk handed to ``stream_chunks``: an opaque tag plus the chunk's jobs.
-TaggedChunk = "tuple[object, list]"
-
-#: Chunk-completion callback for ``stream_chunks``: ``(tag, job_count)``,
-#: fired when a chunk *finishes* (possibly out of submission order).
-ChunkCallback = Callable[[object, int], None]
+    Without ``max_pending`` the window is ``_CHUNKS_PER_WORKER`` chunks per
+    worker.  A pool never starts more workers than chunks it may hold in
+    flight: the sweep engine caps the window at the sweep's chunk count
+    whenever it knows it, so a small sweep does not spawn idle workers.
+    """
+    workers = _effective_workers(n_jobs, None)
+    if max_pending is None:
+        return workers, workers * _CHUNKS_PER_WORKER
+    max_pending = max(int(max_pending), 1)
+    return min(workers, max_pending), max_pending
 
 
 def _stream_serial(
@@ -390,15 +350,6 @@ class SerialBackend:
 
     name = "serial"
 
-    def run(self, jobs, *, chunk_size=None, on_progress=None):
-        _checked_chunk_size(chunk_size)  # same contract as the pool backends
-        results = []
-        for index, job in enumerate(jobs):
-            results.append(job.run())
-            if on_progress is not None:
-                on_progress(index + 1, len(jobs))
-        return results
-
     def stream_chunks(self, chunks, *, on_chunk=None, max_pending=None):
         """Yield ``(tag, records)`` per chunk, pulling chunks lazily."""
         return _stream_serial(chunks, _run_chunk, on_chunk)
@@ -415,25 +366,12 @@ class ThreadBackend:
     def __init__(self, n_jobs: int | None = None) -> None:
         self.n_jobs = n_jobs
 
-    def run(self, jobs, *, chunk_size=None, on_progress=None):
-        chunk_size = _checked_chunk_size(chunk_size)
-        workers = _effective_workers(self.n_jobs, len(jobs))
-        if workers <= 1 or len(jobs) <= 1:
-            return SerialBackend().run(jobs, on_progress=on_progress)
-        size = chunk_size if chunk_size is not None else auto_chunk_size(len(jobs), workers)
-        chunks = _chunked(jobs, size)
-        with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            per_chunk = _run_pool(pool, chunks, len(jobs), on_progress)
-        return [records for chunk in per_chunk for records in chunk]
-
     def stream_chunks(self, chunks, *, on_chunk=None, max_pending=None):
         """Bounded-window streaming over the thread pool (ordered yields)."""
-        workers = _effective_workers(self.n_jobs, None)
+        workers, max_pending = _pool_shape(self.n_jobs, max_pending)
         if workers <= 1:
             yield from _stream_serial(chunks, _run_chunk, on_chunk)
             return
-        if max_pending is None:
-            max_pending = workers * _CHUNKS_PER_WORKER
         with ThreadPoolExecutor(max_workers=workers) as pool:
             yield from _stream_pool(pool, chunks, _run_chunk, on_chunk, max_pending)
 
@@ -513,59 +451,18 @@ class ProcessBackend:
     def _job_plane(self) -> "ShmPlane | None":
         return ShmPlane() if shm_enabled(self.shm) else None
 
-    def run(self, jobs, *, chunk_size=None, on_progress=None):
-        chunk_size = _checked_chunk_size(chunk_size)
-        plane = self._job_plane()
-        try:
-            wire_jobs = [job.to_wire(plane=plane) if plane is not None else job.to_wire() for job in jobs]
-            if not wire_jobs:
-                return []
-            # Trial pickles before the pool spins up: sweep jobs share their
-            # solver specs, so probing one job per distinct payload type gives
-            # a clear early error for every job that could fail — without
-            # serializing each payload twice.
-            probe = _wire_probe()
-            for wire_job, job in zip(wire_jobs, jobs):
-                probe(wire_job, job)
-            workers = _effective_workers(self.n_jobs, len(wire_jobs))
-            size = chunk_size if chunk_size is not None else auto_chunk_size(len(wire_jobs), workers)
-            chunks = _chunked(wire_jobs, size)
-            if obs.is_enabled():
-                for chunk in chunks:
-                    obs.REGISTRY.inc("sweep_ipc_bytes_shipped_total", len(pickle.dumps(chunk)))
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(chunks)), initializer=_process_worker_init
-                ) as pool:
-                    per_chunk = _run_pool(
-                        pool, chunks, len(wire_jobs), on_progress, runner=_process_runner()
-                    )
-            except BrokenProcessPool as error:
-                raise RuntimeError(
-                    "the process-backend worker pool died unexpectedly (a worker was "
-                    "killed — out-of-memory, a segfault in an extension, or an "
-                    "interpreter crash); re-run with backend='serial' to reproduce "
-                    "the failure in-process"
-                ) from error
-        finally:
-            if plane is not None:
-                plane.close()
-        return [records for chunk in per_chunk for records in chunk]
-
     def stream_chunks(self, chunks, *, on_chunk=None, max_pending=None):
         """Bounded-window streaming over a process pool (ordered yields).
 
-        Each chunk is converted to wire form as it is pulled; one job per
-        distinct payload type gets the same trial pickle as :meth:`run`, so
-        an unpicklable payload anywhere in the stream fails with a clear
+        Each chunk is converted to wire form as it is pulled, and one job
+        per distinct payload type gets a trial pickle before it is submitted,
+        so an unpicklable payload anywhere in the stream fails with a clear
         TypeError instead of an opaque pool teardown.  With the shm plane
         on, each chunk's segments are released as soon as the chunk's
         results are back, keeping ``/dev/shm`` usage proportional to the
         in-flight window.
         """
-        workers = _effective_workers(self.n_jobs, None)
-        if max_pending is None:
-            max_pending = workers * _CHUNKS_PER_WORKER
+        workers, max_pending = _pool_shape(self.n_jobs, max_pending)
         plane = self._job_plane()
         pending_handles: dict = {}
 

@@ -36,7 +36,9 @@ from ..simulator.policies import FixedOrderPolicy
 from ..simulator.resources import DEFAULT_MACHINE, MachineModel
 from ..traces.model import Trace, TraceEnsemble, TraceStream
 from .backends import (
+    _CHUNKS_PER_WORKER,
     ExecutionBackend,
+    _effective_workers,
     auto_chunk_size,
     guard_progress,
     resolve_backend,
@@ -73,10 +75,10 @@ SPILL_THRESHOLD_ENV_VAR = "REPRO_SPILL_THRESHOLD"
 #: accumulating everything in RAM.
 DEFAULT_SPILL_THRESHOLD = 100_000
 
-#: Chunk size used by the streaming path when the job plane is unsized
-#: (a raw generator) and the caller did not pass ``chunk_size``.
+#: Chunk size used when the job plane is unsized (a raw generator) and the
+#: caller did not pass ``chunk_size``.
 _UNSIZED_CHUNK_SIZE = 8
-#: Largest auto-selected chunk in the streaming path: in-flight memory is
+#: Largest auto-selected chunk: in-flight memory is
 #: O(workers * chunks-per-worker * chunk size), so the auto size must not
 #: scale with the plane.  Explicit ``chunk_size=`` still wins.
 _STREAM_MAX_CHUNK = 8
@@ -650,109 +652,39 @@ def _run_sweep(
     shard,
     on_records,
 ) -> ResultSet:
-    """Execute a (possibly lazy) job plane and merge its records in order.
+    """The sweep orchestrator: chunk lazily, stream, merge in order.
 
-    The plain path — no spill, no checkpoint, no shard, sized plane — is
-    the historical ``executor.run`` + ``ResultSet.concat``, byte for byte.
-    Everything else goes through the streaming orchestrator: jobs are
-    chunked lazily, at most a bounded window is in flight, each chunk's
-    records are merged (and spilled / recorded / forwarded) strictly in
-    submission order, so the output stays byte-identical to the plain path
-    whatever the backend, chunking, sharding or resume history.
+    Every sweep takes this one path.  Jobs are cut into chunks as they are
+    pulled, the backend's ``stream_chunks`` keeps at most a bounded window
+    of them in flight, and each chunk's records are merged into a
+    :class:`ResultSet` or :class:`SpilledResultSet` (and checkpointed /
+    forwarded to ``on_records``) strictly in submission order.  The output
+    is byte-identical whatever the backend, chunking, sharding, spill or
+    resume history.
     """
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size!r}")
     executor = resolve_backend(backend, n_jobs=n_jobs)
     shard_spec = _resolve_shard(shard)
     progress = guard_progress(on_progress)
-
-    own_checkpoint = False
-    if isinstance(checkpoint, (str, os.PathLike)):
-        checkpoint = SweepCheckpoint(checkpoint)
-        own_checkpoint = True
-
-    result = _resolve_spill_target(
-        spill, _estimate_rows(job_total, rows_per_job) if job_total is not None else None
-    )
-    streaming = (
-        job_total is None
-        or checkpoint is not None
-        or shard_spec is not None
-        or on_records is not None
-        or isinstance(result, SpilledResultSet)
-    )
-    if not streaming:
-        jobs = list(job_iter)
-        per_job = executor.run(jobs, chunk_size=chunk_size, on_progress=progress)
-        merge_started = obs.now() if obs.is_enabled() else 0.0
-        merged = ResultSet.concat(per_job)
-        obs.REGISTRY.inc("sweep_jobs_merged_total", len(jobs))
-        if obs.is_enabled():
-            obs.record_span("sweep.merge", merge_started, obs.now(), jobs=len(jobs))
-        return merged
-
-    if shard_spec is None:
+    if shard_spec is None or job_total is None:
         local_total = job_total
     else:
         index, count = shard_spec
-        local_total = (
-            None if job_total is None else (job_total - index + count - 1) // count
-        )
-
-    try:
-        _stream_sweep(
-            executor,
-            job_iter,
-            local_total,
-            chunk_size=chunk_size,
-            progress=progress,
-            result=result,
-            checkpoint=checkpoint,
-            shard_spec=shard_spec,
-            on_records=on_records,
-        )
-    finally:
-        if own_checkpoint:
-            checkpoint.close()
-    if isinstance(result, SpilledResultSet):
-        result.flush()
-    return result
-
-
-def _stream_sweep(
-    executor,
-    job_iter: Iterator[SweepJob],
-    local_total: int | None,
-    *,
-    chunk_size: int | None,
-    progress,
-    result: ResultSet,
-    checkpoint: "SweepCheckpoint | None",
-    shard_spec: "tuple[int, int] | None",
-    on_records,
-) -> None:
-    """The streaming orchestrator: chunk lazily, execute, merge in order."""
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be at least 1, got {chunk_size!r}")
-    if getattr(executor, "name", "") == "serial":
+        local_total = (job_total - index + count - 1) // count
+    if executor.name == "serial":
         workers = 1
     else:
-        from .backends import _effective_workers
-
         workers = _effective_workers(getattr(executor, "n_jobs", None), local_total)
     if chunk_size is not None:
         computed = chunk_size
     elif local_total is not None:
-        # The legacy auto size grows with the plane (total / workers / 4),
-        # which is fine when every job is in memory anyway but would defeat
-        # streaming: in-flight memory must stay bounded no matter how large
-        # the sweep is.  Cap uncapped auto sizes at the unsized default.
+        # The auto size grows with the plane (total / workers / 4); cap it so
+        # in-flight memory stays bounded no matter how large the sweep is.
         computed = min(auto_chunk_size(local_total, workers), _STREAM_MAX_CHUNK)
     else:
         computed = _UNSIZED_CHUNK_SIZE
-    size = (
-        checkpoint.resolve_chunk_size(chunk_size, computed)
-        if checkpoint is not None
-        else computed
-    )
+    result = _resolve_spill_target(spill, _estimate_rows(job_total, rows_per_job))
 
     done = 0
 
@@ -762,16 +694,13 @@ def _stream_sweep(
         if progress is not None:
             progress(done, local_total if local_total is not None else done)
 
-    def indexed() -> Iterator[tuple[int, SweepJob]]:
-        for gidx, job in enumerate(job_iter):
-            if shard_spec is None or gidx % shard_spec[1] == shard_spec[0]:
-                yield gidx, job
-
-    def chunked() -> Iterator[tuple[int, list[tuple[int, SweepJob]]]]:
+    def chunked(size: int) -> Iterator[tuple[int, list[tuple[int, SweepJob]]]]:
         batch: list[tuple[int, SweepJob]] = []
         index = 0
-        for pair in indexed():
-            batch.append(pair)
+        for gidx, job in enumerate(job_iter):
+            if shard_spec is not None and gidx % shard_spec[1] != shard_spec[0]:
+                continue
+            batch.append((gidx, job))
             if len(batch) == size:
                 yield index, batch
                 batch = []
@@ -785,19 +714,18 @@ def _stream_sweep(
     #: chunk index -> (global job indices, checkpoint key or None)
     live: dict[int, tuple[list[int], "str | None"]] = {}
 
-    def runnable() -> Iterator[tuple[int, list[SweepJob]]]:
-        for index, batch in chunked():
+    def runnable(size: int) -> Iterator[tuple[int, list[SweepJob]]]:
+        for index, batch in chunked(size):
             gidxs = [gidx for gidx, _ in batch]
             jobs_only = [job for _, job in batch]
+            key = None
             if checkpoint is not None:
                 key = chunk_key(jobs_only)
                 if checkpoint.match(index, key):
                     cached[index] = (gidxs, key)
                     report(len(batch))
                     continue
-                live[index] = (gidxs, key)
-            else:
-                live[index] = (gidxs, None)
+            live[index] = (gidxs, key)
             yield index, jobs_only
 
     def emit(gidxs: Sequence[int], per_job: Sequence[Sequence[RunRecord]]) -> None:
@@ -825,10 +753,24 @@ def _stream_sweep(
             emit(gidxs, checkpoint.load(next_emit, key))
             next_emit += 1
 
-    stream = getattr(executor, "stream_chunks", None)
-    if stream is not None:
-        for tag, per_job in stream(
-            runnable(), on_chunk=lambda _tag, count: report(count)
+    own_checkpoint = isinstance(checkpoint, (str, os.PathLike))
+    if own_checkpoint:
+        checkpoint = SweepCheckpoint(checkpoint)
+    try:
+        size = (
+            checkpoint.resolve_chunk_size(chunk_size, computed)
+            if checkpoint is not None
+            else computed
+        )
+        # With a known total the window never exceeds the chunk count, so a
+        # pool backend starts no more workers than there are chunks to run.
+        max_pending = (
+            None
+            if local_total is None
+            else min(math.ceil(local_total / size), workers * _CHUNKS_PER_WORKER)
+        )
+        for tag, per_job in executor.stream_chunks(
+            runnable(size), on_chunk=lambda _tag, count: report(count), max_pending=max_pending
         ):
             drain_cached()
             # Backends yield strictly in submission order, and every chunk
@@ -841,28 +783,12 @@ def _stream_sweep(
                 checkpoint.record(tag, key, per_job)
             next_emit += 1
         drain_cached()
-        return
-
-    # Fallback for third-party backends without ``stream_chunks`` (e.g. a
-    # persistent serving pool): chunks run one after another through the
-    # backend's plain ``run``.  Checkpoints, shards and callbacks keep their
-    # exact semantics; only the cross-chunk pipelining is lost.
-    for index, batch in chunked():
-        gidxs = [gidx for gidx, _ in batch]
-        jobs_only = [job for _, job in batch]
-        if checkpoint is not None:
-            key = chunk_key(jobs_only)
-            if checkpoint.match(index, key):
-                emit(gidxs, checkpoint.load(index, key))
-                report(len(batch))
-                continue
-        else:
-            key = None
-        per_job = executor.run(jobs_only, chunk_size=size)
-        emit(gidxs, per_job)
-        if checkpoint is not None:
-            checkpoint.record(index, key, per_job)
-        report(len(batch))
+    finally:
+        if own_checkpoint:
+            checkpoint.close()
+    if isinstance(result, SpilledResultSet):
+        result.flush()
+    return result
 
 
 def sweep_traces(

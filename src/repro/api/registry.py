@@ -74,8 +74,8 @@ class SolverRegistrationError(ValueError):
 class UnknownSolverError(KeyError):
     """A solver name/alias/category spec did not resolve.
 
-    Subclasses :class:`KeyError` so legacy callers catching ``KeyError``
-    (the pre-facade behaviour of ``get_heuristic``) keep working.
+    Subclasses :class:`KeyError`, so callers may catch either type: an
+    unknown name raises ``KeyError`` like any failed mapping lookup.
     """
 
     def __str__(self) -> str:  # KeyError would repr() the message

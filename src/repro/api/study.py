@@ -12,9 +12,8 @@ A :class:`Study` is the declarative face of the sweep engine::
     )
     results.aggregate("ratio_to_optimal", by=("capacity_factor", "heuristic"))
 
-It subsumes the legacy ``run_on_instance`` / ``sweep_trace`` /
-``sweep_ensemble`` trio: traces and ensembles sweep ``factor * mc``
-capacities, raw instances run at their own capacity.
+Traces and ensembles sweep ``factor * mc`` capacities; raw instances run at
+their own capacity.
 """
 
 from __future__ import annotations
@@ -291,10 +290,12 @@ class Study:
     def on_progress(self, callback: Callable[[int, int], None] | None) -> "Study":
         """Report sweep progress: ``callback(completed_jobs, total_jobs)``.
 
-        Called from the submitting thread as whole-trace/instance jobs
-        finish (after each chunk on pool backends).  Traces and raw
-        instances are swept as two consecutive passes, each reporting its
-        own totals.  Pass ``None`` to remove a previously set callback.
+        Called from the submitting thread each time a chunk of
+        whole-trace/instance jobs finishes, on every backend (so
+        ``completed_jobs`` advances by the chunk size; see ``chunk_size``
+        in :meth:`parallel`).  Traces and raw instances are swept as two
+        consecutive passes, each reporting its own totals.  Pass ``None``
+        to remove a previously set callback.
 
         Callbacks are guarded: an exception raised inside one is reported
         as a single ``RuntimeWarning`` and the sweep keeps going.  Raising

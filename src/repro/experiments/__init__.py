@@ -2,11 +2,10 @@
 
 The sweep engine itself lives in :mod:`repro.api` (``Study``/``ResultSet``);
 this package hosts the figure drivers, the aggregation helpers and the
-experiment scaling knobs.  ``run_on_instance``/``sweep_trace``/
-``sweep_ensemble`` are deprecated shims kept for backwards compatibility.
+experiment scaling knobs.
 """
 
-from ..api.results import ResultSet
+from ..api.results import ResultSet, RunRecord
 from .aggregate import (
     CategoryPick,
     best_variant_per_category,
@@ -31,7 +30,6 @@ from .figures import (
     table02_proposition1,
     table06_favorable_situations,
 )
-from .runner import RunRecord, run_on_instance, sweep_ensemble, sweep_trace
 
 __all__ = [
     "ALL_FIGURES",
@@ -54,11 +52,8 @@ __all__ = [
     "figure12_ccsd_best_variants",
     "figure13_batches",
     "group_by_capacity_and_heuristic",
-    "run_on_instance",
     "scaled_config",
     "summaries_by_capacity",
-    "sweep_ensemble",
-    "sweep_trace",
     "table02_proposition1",
     "table06_favorable_situations",
 ]

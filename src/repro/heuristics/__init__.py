@@ -1,6 +1,6 @@
 """Data-transfer ordering heuristics (Sections 4.1-4.4 of the paper)."""
 
-from .base import Category, Heuristic, HeuristicInfo
+from .base import PAPER_FIGURE_ORDER, Category, Heuristic, HeuristicInfo
 from .baselines import BinPackingFirstFit, GilmoreGomory, first_fit_bins
 from .corrected import (
     CorrectedHeuristic,
@@ -13,16 +13,6 @@ from .dynamic import (
     LargestCommunicationFirst,
     MaximumAccelerationFirst,
     SmallestCommunicationFirst,
-)
-from .registry import (
-    PAPER_FIGURE_ORDER,
-    all_heuristics,
-    category_members,
-    get_heuristic,
-    heuristic_names,
-    heuristics_by_category,
-    paper_figure_lineup,
-    table6_rows,
 )
 from .static import (
     DecreasingCommPlusComp,
@@ -56,12 +46,5 @@ __all__ = [
     "CorrectedSmallestCommunication",
     "CorrectedMaximumAcceleration",
     "PAPER_FIGURE_ORDER",
-    "all_heuristics",
-    "category_members",
     "first_fit_bins",
-    "get_heuristic",
-    "heuristic_names",
-    "heuristics_by_category",
-    "paper_figure_lineup",
-    "table6_rows",
 ]

@@ -8,10 +8,11 @@ endpoint.  Two faces over the same threads:
   get a ``concurrent.futures.Future`` the asyncio handler can await with a
   deadline;
 * :meth:`ServePool.backend` — an :class:`~repro.api.backends.ExecutionBackend`
-  view, so a whole ``Study`` sweep fans its PR 5 :class:`SweepJob` plane
-  across the *same* shared workers (reusing the backend layer's
-  order-preserving chunk machinery).  Concurrent sweeps interleave at job
-  granularity instead of monopolizing the pool.
+  view, so a whole ``Study`` sweep streams its :class:`SweepJob` chunks
+  through the *same* shared workers (reusing the backend layer's
+  order-preserving, bounded-window pipeline).  The server sweeps with
+  ``chunk_size=1``, so concurrent sweeps interleave at job granularity
+  instead of monopolizing the pool.
 
 Unlike :class:`~repro.api.backends.ThreadBackend`, which builds a pool per
 call, the executor here lives as long as the server; cancellation is
@@ -26,7 +27,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Sequence
 
-from ..api.backends import StopSweep, _checked_chunk_size, _chunked, _run_pool
+from ..api.backends import _CHUNKS_PER_WORKER, StopSweep, _stream_pool
 from ..api.results import RunRecord
 
 __all__ = ["ServePool", "PoolBackend"]
@@ -116,26 +117,20 @@ class PoolBackend:
             results.append(job.run())
         return results
 
-    def run(self, jobs, *, chunk_size=None, on_progress=None):
-        chunk_size = _checked_chunk_size(chunk_size)
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        # Default to one job per chunk: the pool is shared by every client,
-        # so fine-grained chunks let concurrent requests interleave fairly
-        # (a request never waits behind a whole foreign sweep).
-        chunks = _chunked(jobs, chunk_size if chunk_size is not None else 1)
-        per_chunk = _run_pool(
-            _SubmitAdapter(self._pool), chunks, len(jobs), on_progress, runner=self._run_chunk
+    def stream_chunks(self, chunks, *, on_chunk=None, max_pending=None):
+        """Bounded-window streaming over the shared workers (ordered yields)."""
+        if max_pending is None:
+            max_pending = self._pool.size * _CHUNKS_PER_WORKER
+        return _stream_pool(
+            _SubmitAdapter(self._pool), chunks, self._run_chunk, on_chunk, max_pending
         )
-        return [records for chunk in per_chunk for records in chunk]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PoolBackend(workers={self._pool.size})"
 
 
 class _SubmitAdapter:
-    """Duck-typed executor handing ``_run_pool`` submissions to the pool."""
+    """Duck-typed executor handing ``_stream_pool`` submissions to the pool."""
 
     def __init__(self, pool: ServePool):
         self._pool = pool

@@ -27,6 +27,7 @@ from repro.api import (
     resolve_solvers,
     spec_to_wire,
     sweep_instances,
+    sweep_traces,
     unregister_solver,
     wire_to_spec,
 )
@@ -261,6 +262,52 @@ class TestBackendEquivalence:
 
 
 # --------------------------------------------------------------------- #
+# Worker provisioning
+# --------------------------------------------------------------------- #
+def _recording(monkeypatch, executor_name: str) -> list[int]:
+    """Record the ``max_workers`` of every pool the backends start."""
+    from repro.api import backends as backends_module
+
+    real = getattr(backends_module, executor_name)
+    started: list[int] = []
+
+    class Recording(real):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(backends_module, executor_name, Recording)
+    return started
+
+
+class TestWorkerProvisioning:
+    """A pool never starts more workers than the sweep has chunks."""
+
+    @pytest.mark.parametrize("spill", [False, True])
+    def test_one_job_process_sweep_starts_one_worker(self, ensemble, monkeypatch, spill):
+        monkeypatch.setenv("REPRO_NUM_JOBS", "4")
+        started = _recording(monkeypatch, "ProcessPoolExecutor")
+        trace = list(ensemble)[0]
+        study = Study().traces(trace).capacities(1.25).solvers("OS").spill(spill)
+        reference = study.run().to_json()
+        assert study.parallel(backend=ProcessBackend(None)).run().to_json() == reference
+        assert started == [1]
+
+    @pytest.mark.parametrize("spill", [False, True])
+    def test_thread_pool_is_capped_at_the_chunk_count(self, ensemble, monkeypatch, spill):
+        started = _recording(monkeypatch, "ThreadPoolExecutor")
+        traces = list(ensemble)[:2]
+        study = Study().traces(*traces).capacities(1.25).solvers("OS").spill(spill)
+        reference = study.run().to_json()
+        assert study.parallel(8, backend="threads", chunk_size=1).run().to_json() == reference
+        assert started == [2]
+        # One chunk runs in the calling thread: no pool at all.
+        started.clear()
+        assert study.parallel(8, backend="threads", chunk_size=2).run().to_json() == reference
+        assert started == []
+
+
+# --------------------------------------------------------------------- #
 # Progress reporting
 # --------------------------------------------------------------------- #
 class TestProgress:
@@ -329,7 +376,9 @@ class TestWorkerFailures:
             Study().parallel(2, chunk_size=0)
         for backend in (ThreadBackend(2), ProcessBackend(2)):
             with pytest.raises(ValueError, match="chunk_size"):
-                backend.run([], chunk_size=-1)
+                sweep_traces(
+                    [ensemble], capacity_factors=(1.0,), backend=backend, chunk_size=-1
+                )
 
     def test_unpicklable_job_rejected_before_workers_start(self, ensemble):
         study = (

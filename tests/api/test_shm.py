@@ -169,9 +169,8 @@ def test_streaming_chunks_release_segments_and_match_run(clean_shm):
         SweepJob(payload=trace, solver_specs=("OS",), capacity_factors=(1.0, 1.5))
         for trace in traces
     ]
-    backend = ProcessBackend(2, shm=True)
-    reference = backend.run(list(jobs))
-    streamed = backend.stream_chunks(
+    reference = [job.run() for job in jobs]
+    streamed = ProcessBackend(2, shm=True).stream_chunks(
         iter((index, [job]) for index, job in enumerate(jobs))
     )
     by_tag = dict(streamed)
@@ -202,8 +201,9 @@ def test_probe_catches_unpicklable_payload_types_beyond_the_first_job():
         SweepJob(payload=good, solver_specs=("OS",), capacity_factors=(1.0,)),
         SweepJob(payload=evil, solver_specs=("OS",), capacity_factors=(1.0,)),
     ]
+    chunks = ProcessBackend(2).stream_chunks(iter([(0, jobs)]))
     with pytest.raises(TypeError, match="evil/p001.*cannot be pickled"):
-        ProcessBackend(2).run(jobs)
+        list(chunks)
 
 
 # --------------------------------------------------------------------------- #

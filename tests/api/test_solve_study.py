@@ -1,11 +1,15 @@
 """Tests for the solve() facade and the fluent Study builder."""
 
+import math
+
 import pytest
 
 from repro.api import (
     ResultSet,
     Study,
+    paper_lineup,
     register_solver,
+    run_solvers_on_instance,
     solve,
     unregister_solver,
 )
@@ -316,3 +320,30 @@ class TestPipelinedValidation:
         instance = Instance([Task.from_times("A", 1, 1)], capacity=4)
         with pytest.raises(ValueError, match="requires a batch_size"):
             sweep_instances([instance], solver_specs=("OS",), pipelined=True)
+
+
+class TestApplicationLabel:
+    """The ``application`` label of rows swept from raw instances."""
+
+    def test_unnamed_instance_defaults_to_adhoc(self):
+        instance = Instance(
+            [Task.from_times("A", comm=2, comp=1), Task.from_times("B", comm=1, comp=2)],
+            capacity=4,
+        )
+        (record,) = Study().instances(instance).solvers("OS").run()
+        assert record.application == "adhoc"
+        assert record.trace == ""
+        assert math.isnan(record.capacity_factor)
+
+    def test_named_instance_keeps_application_prefix(self):
+        trace = synthetic_trace("mixed-intensity", tasks=25, seed=9)
+        instance = trace.to_instance_with_factor(1.5)
+        (record,) = Study().instances(instance).solvers("OS").run()
+        assert record.application == trace.application
+
+    def test_explicit_application_wins(self):
+        instance = Instance([Task.from_times("A", comm=2, comp=1)], capacity=4, name="x/y")
+        (record,) = run_solvers_on_instance(
+            instance, paper_lineup(["OS"]), application="explicit"
+        )
+        assert record.application == "explicit"

@@ -18,6 +18,7 @@ from repro.core.paper_instances import (
     proposition1_instance,
     static_example_instance,
 )
+from repro.flowshop import best_schedule_allowing_reordering
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +51,17 @@ def table5_instance() -> Instance:
 @pytest.fixture
 def table2_instance() -> Instance:
     return proposition1_instance()
+
+
+@pytest.fixture(scope="session")
+def proposition1_free_optimum():
+    """``best_schedule_allowing_reordering(proposition1_instance())``, once.
+
+    The exhaustive two-order search takes about 20 s, and its
+    ``(schedule, makespan)`` result is read by the Proposition 1 tests of
+    several modules.
+    """
+    return best_schedule_allowing_reordering(proposition1_instance())
 
 
 def random_instance(

@@ -42,17 +42,16 @@ class TestBestSchedules:
 class TestProposition1:
     """Table 2 / Figure 3: different orders strictly beat identical orders."""
 
-    def test_reordering_strictly_improves(self):
+    def test_reordering_strictly_improves(self, proposition1_free_optimum):
         instance = proposition1_instance()
         _, permutation = best_permutation_schedule(instance)
-        free_schedule, free = best_schedule_allowing_reordering(instance)
+        free_schedule, free = proposition1_free_optimum
         assert free < permutation - 1e-9
         assert not free_schedule.is_permutation_schedule()
         assert validate_schedule(free_schedule, instance).is_feasible
 
-    def test_free_order_reaches_papers_makespan(self):
-        instance = proposition1_instance()
-        _, free = best_schedule_allowing_reordering(instance)
+    def test_free_order_reaches_papers_makespan(self, proposition1_free_optimum):
+        _, free = proposition1_free_optimum
         # The paper exhibits a schedule of makespan 22 (Figure 3b).
         assert free == pytest.approx(22.0)
 

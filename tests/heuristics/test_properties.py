@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import get_solver, paper_lineup
 from repro.core import Instance, omim, tasks_from_pairs, validate_schedule
-from repro.heuristics import all_heuristics
 
 task_pairs = st.lists(
     st.tuples(
@@ -43,7 +43,8 @@ def build_instance(pairs, factor):
 def test_all_heuristics_produce_feasible_schedules(pairs, factor):
     instance = build_instance(pairs, factor)
     reference = omim(instance)
-    for name, heuristic in all_heuristics().items():
+    for heuristic in paper_lineup():
+        name = heuristic.name
         schedule = heuristic.schedule(instance)
         report = validate_schedule(schedule, instance)
         assert report.is_feasible, f"{name} produced an infeasible schedule: {report.summary()}"
@@ -57,7 +58,7 @@ def test_all_heuristics_produce_feasible_schedules(pairs, factor):
 def test_heuristics_reach_omim_with_infinite_memory_when_using_johnson(pairs):
     """OOSIM with unlimited memory must equal the OMIM lower bound exactly."""
     instance = Instance(tasks_from_pairs(pairs))
-    heuristic = all_heuristics()["OOSIM"]
+    heuristic = get_solver("OOSIM")
     assert heuristic.schedule(instance).makespan == pytest.approx(omim(instance))
 
 
@@ -65,10 +66,10 @@ def test_heuristics_reach_omim_with_infinite_memory_when_using_johnson(pairs):
 @given(pairs=task_pairs, factor=capacity_factors)
 def test_peak_memory_never_exceeds_capacity(pairs, factor):
     instance = build_instance(pairs, factor)
-    for name, heuristic in all_heuristics().items():
+    for heuristic in paper_lineup():
         schedule = heuristic.schedule(instance)
         if instance.has_memory_constraint:
-            assert schedule.peak_memory() <= instance.capacity + 1e-6, name
+            assert schedule.peak_memory() <= instance.capacity + 1e-6, heuristic.name
 
 
 @settings(max_examples=20, deadline=None)
@@ -80,7 +81,7 @@ def test_unconstrained_execution_never_worse_for_a_fixed_order(pairs, factor):
         return
     unconstrained = instance.without_memory_constraint()
     for name in ("OS", "OOSIM", "IOCMS", "DOCPS", "IOCCS", "DOCCS", "GG"):
-        heuristic = all_heuristics()[name]
+        heuristic = get_solver(name)
         constrained_makespan = heuristic.schedule(instance).makespan
         free_makespan = heuristic.schedule(unconstrained).makespan
         assert free_makespan <= constrained_makespan + 1e-6, name

@@ -2,10 +2,9 @@
 
 import pytest
 
+from repro.api import paper_lineup
 from repro.core import Instance, Task, omim, tasks_from_pairs, validate_schedule
 from repro.core.paper_instances import proposition1_instance, static_example_instance
-from repro.flowshop import best_schedule_allowing_reordering
-from repro.heuristics import all_heuristics
 from repro.milp import solve_exact
 
 
@@ -20,12 +19,12 @@ class TestExactSolves:
         assert result.makespan <= 14.0 + 1e-6
         assert result.makespan >= instance.resource_lower_bound - 1e-6
 
-    def test_matches_free_order_optimum_on_proposition1(self):
+    def test_matches_free_order_optimum_on_proposition1(self, proposition1_free_optimum):
         instance = proposition1_instance()  # 6 tasks, capacity 10
         result = solve_exact(instance, time_limit=120)
         assert result.optimal
         assert validate_schedule(result.schedule, instance).is_feasible
-        _, free_optimum = best_schedule_allowing_reordering(instance)
+        _, free_optimum = proposition1_free_optimum
         assert result.makespan == pytest.approx(free_optimum, abs=1e-6)
 
     def test_infinite_memory_matches_omim(self):
@@ -38,7 +37,7 @@ class TestExactSolves:
         instance = static_example_instance()
         result = solve_exact(instance, time_limit=60)
         best_heuristic = min(
-            h.schedule(instance).makespan for h in all_heuristics().values()
+            h.schedule(instance).makespan for h in paper_lineup()
         )
         assert result.makespan <= best_heuristic + 1e-6
 
