@@ -20,12 +20,7 @@ import pytest
 from repro.chemistry import ccsd_ensemble
 from repro.core import omim
 from repro import get_solver
-from repro.simulator import (
-    CriterionPolicy,
-    execute_in_batches,
-    execute_with_policy,
-    largest_communication,
-)
+from repro.simulator import CriterionPolicy, largest_communication, simulate, simulate_in_batches
 from repro.viz import render_series_table
 
 
@@ -43,11 +38,11 @@ class _UnfilteredPolicy(CriterionPolicy):
 
 
 @pytest.mark.benchmark(group="ablation")
-def test_ablation_minimum_idle_filter(benchmark, ccsd_instance):
+def test_ablation_idle_prefilter(benchmark, ccsd_instance):
     def run():
-        filtered = execute_with_policy(ccsd_instance, CriterionPolicy(largest_communication))
-        unfiltered = execute_with_policy(ccsd_instance, _UnfilteredPolicy(largest_communication))
-        return filtered.makespan, unfiltered.makespan
+        filtered = simulate(ccsd_instance, CriterionPolicy(largest_communication))
+        unfiltered = simulate(ccsd_instance, _UnfilteredPolicy(largest_communication))
+        return filtered.schedule.makespan, unfiltered.schedule.makespan
 
     filtered, unfiltered = benchmark.pedantic(run, rounds=1, iterations=1)
     reference = omim(ccsd_instance)
@@ -84,7 +79,7 @@ def test_ablation_batch_size(benchmark, ccsd_instance):
 
     def run():
         return {
-            size: execute_in_batches(ccsd_instance, heuristic.schedule, batch_size=size).makespan
+            size: simulate_in_batches(ccsd_instance, heuristic, batch_size=size).schedule.makespan
             for size in sizes
         }
 

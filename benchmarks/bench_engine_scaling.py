@@ -33,8 +33,6 @@ from repro.simulator import (
     CorrectedOrderPolicy,
     CriterionPolicy,
     FixedOrderPolicy,
-    execute_fixed_order,
-    execute_with_policy,
     largest_communication,
     maximum_acceleration,
     simulate,
@@ -81,14 +79,14 @@ def modes(instance: Instance):
         (
             "fixed-order",
             lambda: reference_execute_fixed_order(instance, order),
-            lambda: execute_fixed_order(instance, order),
+            lambda: simulate(instance, FixedOrderPolicy(tuple(order))).schedule,
         ),
         (
             "dynamic",
             lambda: reference_execute_with_policy(
                 instance, CriterionPolicy(largest_communication)
             ),
-            lambda: execute_with_policy(instance, CriterionPolicy(largest_communication)),
+            lambda: simulate(instance, CriterionPolicy(largest_communication)).schedule,
         ),
         (
             "corrected",
@@ -96,10 +94,10 @@ def modes(instance: Instance):
                 instance,
                 ReferenceCorrectedOrderPolicy(order=johnson, criterion=maximum_acceleration),
             ),
-            lambda: execute_with_policy(
+            lambda: simulate(
                 instance,
                 CorrectedOrderPolicy(order=tuple(johnson), criterion=maximum_acceleration),
-            ),
+            ).schedule,
         ),
     )
 

@@ -13,8 +13,8 @@ Molecular Chemistry Kernels"* (Kumar, Eyraud-Dubois, Krishnamoorthy, ICPP
   no-wait sequencing and the 3-Partition NP-completeness reduction;
 * :mod:`repro.heuristics` — the paper's static, dynamic and corrected
   ordering strategies plus the GG/BP baselines;
-* :mod:`repro.simulator` — memory-aware executors turning orders into
-  feasible schedules;
+* :mod:`repro.simulator` — the memory-aware simulation kernel and its fast
+  engines, turning orders and policies into feasible schedules;
 * :mod:`repro.milp` — the mixed-integer formulation and the windowed lp.k solver;
 * :mod:`repro.portfolio` — instance featurization, Table 6 algorithm
   selection, parallel solver racing and the persistent result cache;
@@ -101,15 +101,12 @@ from .simulator import (
     PoissonArrivals,
     SimulationResult,
     TraceReplayArrivals,
-    execute_fixed_order,
-    execute_in_batches,
-    execute_with_policy,
     run_online,
     simulate,
     simulate_in_batches,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Task",
@@ -140,9 +137,6 @@ __all__ = [
     "bounds",
     "check_schedule",
     "evaluate",
-    "execute_fixed_order",
-    "execute_in_batches",
-    "execute_with_policy",
     "simulate",
     "omim",
     "ratio_to_optimal",

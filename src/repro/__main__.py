@@ -58,6 +58,7 @@ from typing import Sequence
 from . import __version__
 from .api import DEFAULT_CAPACITY_FACTORS, Study, UnknownSolverError, available_solvers
 from .heuristics import Category
+from .simulator.columnar import ENGINE_CHOICES
 
 
 def render_solver_table(category: str | None = None) -> str:
@@ -183,7 +184,7 @@ def _sweep_parser() -> argparse.ArgumentParser:
     execution = parser.add_argument_group("execution")
     execution.add_argument(
         "--engine",
-        choices=["auto", "object", "columnar", "batched"],
+        choices=ENGINE_CHOICES,
         default=None,
         help="execution engine: 'auto' picks the columnar fast path for large "
         "instances (and the cross-instance batched plane for wide sweeps), "

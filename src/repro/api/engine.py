@@ -26,14 +26,10 @@ from ..core.validation import check_schedule
 from ..flowshop.johnson import omim_makespan
 from ..simulator.arrivals import ArrivalProcess, resolve_arrivals
 from ..simulator.batch import simulate_in_batches
-from ..simulator.batched import (
-    BATCH_AUTO_THRESHOLD,
-    batched_unsupported_reason,
-    simulate_batched_outcomes,
-)
-from ..simulator.columnar import COLUMNAR_AUTO_THRESHOLD, resolve_engine
+from ..simulator.batched import simulate_batched_outcomes
+from ..simulator.columnar import _normalise_engine, plan_engine
 from ..simulator.policies import FixedOrderPolicy
-from ..simulator.resources import DEFAULT_MACHINE, MachineModel
+from ..simulator.resources import MachineModel
 from ..traces.model import Trace, TraceEnsemble, TraceStream
 from .backends import (
     _CHUNKS_PER_WORKER,
@@ -153,15 +149,12 @@ def run_solvers_on_instance(
     reference = omim_makespan(instance) if reference is None else reference
     application = application or instance.name.split("/")[0] or ADHOC_APPLICATION
     online = instance.has_releases
-    extra = {} if engine is None else {"engine": engine}
-    # The REPRO_ENGINE override must be able to force a whole sweep onto the
-    # columnar path, so the recording decision looks at the *resolved* engine:
-    # a "columnar"/"batched" resolution (explicit or via the environment)
-    # drops event recording, exactly like an explicit fast-path request.
-    wants_object = engine in (None, "object") and resolve_engine(engine) not in (
-        "columnar",
-        "batched",
-    )
+    # Recording pins a run to the object kernel, so it is on only when the
+    # normalised request leaves the object kernel in charge: an explicit
+    # "object", or the default (no engine=) unless REPRO_ENGINE forces a
+    # fast engine.  An explicit fast-path request drops recording.
+    requested = _normalise_engine(engine)
+    wants_object = requested == "object" or (engine is None and requested == "auto")
     traced = obs.is_enabled()
     records = []
     for index, solver in enumerate(solvers):
@@ -195,7 +188,7 @@ def run_solvers_on_instance(
         elif hasattr(solver, "simulate"):
             with obs.span("solver.run", solver=solver.name) if traced else obs.NOOP_SPAN:
                 result = solver.simulate(
-                    instance, machine=machine, record=record, **extra
+                    instance, machine=machine, record=record, engine=engine
                 )
             schedule, trace = result.schedule, result.trace
             ran_engine = getattr(result, "engine", "")
@@ -287,47 +280,42 @@ def _batched_precomputed(
     fixed-order kernel run into one :class:`~repro.simulator.batched.
     BatchedPlane` and simulates all lanes per step; returns one
     ``{solver index: outcome}`` dict per instance (``None`` when batching
-    does not engage).  Engages when the engine resolves ``"batched"``, or
-    resolves ``"auto"`` with at least ``BATCH_AUTO_THRESHOLD`` lanes of
-    ``COLUMNAR_AUTO_THRESHOLD``-sized instances — the same regime where
-    the columnar path would have been picked lane by lane, so the records
-    are bit-identical to the per-instance sweep.
+    does not engage).  ``instances`` share their tasks (one trace at
+    several capacities, or a single instance), so :func:`~repro.simulator.
+    columnar.plan_engine` decides for the whole group: once for a plain
+    fixed-order probe at the grid's width, before any solver computes its
+    order, and once more at the number of lanes actually collected.  The
+    plane engages exactly where the per-instance dispatch would have
+    picked a fast engine lane by lane, so the records are bit-identical
+    to the per-instance sweep.
     """
     if batch_size is not None or not instances or not solvers:
         return None
-    choice = resolve_engine(engine)
-    if choice not in ("auto", "batched"):
-        return None
-    n_tasks = len(instances[0])
-    if choice == "auto" and (
-        n_tasks < COLUMNAR_AUTO_THRESHOLD
-        or len(instances) * len(solvers) < BATCH_AUTO_THRESHOLD
-    ):
-        return None
-    if any(instance.has_releases for instance in instances[:1]):
-        return None  # arrival-stamped sweeps stream on the object kernel
-    resolved_machine = DEFAULT_MACHINE if machine is None else machine
-    if resolved_machine.link_count != 1 or resolved_machine.cpu_count != 1:
+    probe = instances[0]
+    width = len(instances) * len(solvers)
+    ran, _ = plan_engine(
+        probe, FixedOrderPolicy(probe.tasks), engine=engine, machine=machine, lanes=width
+    )
+    if ran != "batched":
         return None
     lanes: list[tuple[int, int]] = []
     runs = []
     for fi, instance in enumerate(instances):
         for si, solver in enumerate(solvers):
             policy = _lane_policy(solver, instance)
-            if policy is None:
-                continue
-            if batched_unsupported_reason(instance, policy, machine=machine) is not None:
-                continue
-            lanes.append((fi, si))
-            runs.append((instance, policy))
-    if not lanes or (choice == "auto" and len(lanes) < BATCH_AUTO_THRESHOLD):
+            if policy is not None:
+                lanes.append((fi, si))
+                runs.append((instance, policy))
+    if not runs or plan_engine(
+        *runs[0], engine=engine, machine=machine, lanes=len(runs)
+    )[0] != "batched":
         return None
     started = obs.now() if obs.is_enabled() else 0.0
     outcomes = simulate_batched_outcomes(runs, machine=machine)
     obs.REGISTRY.inc("sweep_batch_lanes_total", len(lanes))
     if obs.is_enabled():
         obs.record_span(
-            "sweep.batch", started, obs.now(), lanes=len(lanes), tasks=n_tasks
+            "sweep.batch", started, obs.now(), lanes=len(lanes), tasks=len(probe)
         )
     per_instance: list[dict[int, object]] = [{} for _ in instances]
     for (fi, si), outcome in zip(lanes, outcomes):

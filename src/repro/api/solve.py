@@ -13,8 +13,9 @@ from ..core.schedule import Schedule
 from ..core.validation import check_schedule
 from ..flowshop.johnson import omim_makespan
 from ..simulator.arrivals import ArrivalProcess, resolve_arrivals
-from ..simulator.batch import simulate_in_batches
 from ..obs.stats import KernelStats
+from ..simulator.batch import simulate_in_batches
+from ..simulator.columnar import _normalise_engine
 from ..simulator.events import EventTrace
 from ..simulator.resources import MachineModel
 from .registry import Solver, get_solver, resolve_solvers
@@ -130,8 +131,9 @@ def solve(
         or multi-CPU machines), ``"batched"`` runs the cross-instance
         batch kernel (a single solve is a one-lane plane, float-identical
         to columnar; sweeps stack many lanes), ``"object"`` forces the
-        event kernel.  Kernel-backed solvers only; the chosen engine is
-        recorded on :attr:`SolveResult.engine`.
+        event kernel.  Unknown names raise :class:`ValueError`.
+        Kernel-backed solvers only; the chosen engine is recorded on
+        :attr:`SolveResult.engine`.
     trace:
         Enable :mod:`repro.obs` tracing for this call and write the spans
         to ``trace`` as a Chrome trace-event file (open it in Perfetto or
@@ -153,6 +155,7 @@ def solve(
                 engine=engine,
                 **solver_params,
             )
+    _normalise_engine(engine, environ=False)  # unknown names fail before any solver runs
     if isinstance(method, str):
         if method.lower().startswith("category:"):
             raise ValueError(
@@ -203,11 +206,8 @@ def solve(
             raise ValueError(
                 f"solver {solver.name!r} does not run on the simulation kernel"
             )
-        # Only pass engine= when requested: simulate() surfaces predating
-        # the engine option (external solvers) keep working untouched.
-        extra = {} if engine is None else {"engine": engine}
         result = solver.simulate(
-            instance, machine=machine, record=record_events, **extra
+            instance, machine=machine, record=record_events, engine=engine
         )
         schedule, trace = result.schedule, result.trace
         ran_engine = getattr(result, "engine", None) or None

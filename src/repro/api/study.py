@@ -223,14 +223,10 @@ class Study:
         kernel solvers, while ``"auto"``/``"columnar"``/``"batched"``
         sweeps skip event recording so the fast paths can engage.
         """
-        from ..simulator.columnar import ENGINE_CHOICES
+        from ..simulator.columnar import _normalise_engine
 
-        choice = str(engine).lower()
-        if choice not in ENGINE_CHOICES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {list(ENGINE_CHOICES)}"
-            )
-        self._engine = choice
+        # REPRO_ENGINE is resolved when the sweep runs, not stored here.
+        self._engine = _normalise_engine(engine, environ=False)
         return self
 
     def parallel(

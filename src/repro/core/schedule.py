@@ -223,7 +223,7 @@ class Schedule:
             deltas[start] = deltas.get(start, 0.0) + e.task.memory
             deltas[end] = deltas.get(end, 0.0) - e.task.memory
         horizon = max(abs(t) for t in deltas)
-        # The executors treat a release due within 1e-9 of an instant as
+        # The kernel treats a release due within 1e-9 of an instant as
         # already free, so a transfer may start up to 1e-9 (plus float
         # representation error, bounded by 1e-12 * horizon) before the
         # releasing computation ends; breakpoints that close are one instant.

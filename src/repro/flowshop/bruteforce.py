@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Sequence
 
 from ..core.instance import Instance
 from ..core.schedule import Schedule
-from ..core.task import Task
-from ..simulator.static_executor import execute_fixed_order, execute_two_orders
+from ..simulator.engine import DeadlockError, simulate
+from ..simulator.policies import FixedOrderPolicy
 
 __all__ = [
     "best_permutation_schedule",
@@ -47,7 +46,7 @@ def enumerate_permutation_makespans(instance: Instance) -> dict[tuple[str, ...],
     _guard(instance)
     result: dict[tuple[str, ...], float] = {}
     for perm in itertools.permutations(instance.tasks):
-        schedule = execute_fixed_order(instance, perm)
+        schedule = simulate(instance, FixedOrderPolicy(perm)).schedule
         result[tuple(t.name for t in perm)] = schedule.makespan
     return result
 
@@ -58,7 +57,7 @@ def best_permutation_schedule(instance: Instance) -> tuple[Schedule, float]:
     best: Schedule | None = None
     best_makespan = math.inf
     for perm in itertools.permutations(instance.tasks):
-        schedule = execute_fixed_order(instance, perm)
+        schedule = simulate(instance, FixedOrderPolicy(perm)).schedule
         if schedule.makespan < best_makespan - 1e-12:
             best_makespan = schedule.makespan
             best = schedule
@@ -80,9 +79,11 @@ def best_schedule_allowing_reordering(instance: Instance) -> tuple[Schedule, flo
     best_makespan = math.inf
     tasks = list(instance.tasks)
     for comm_perm in itertools.permutations(tasks):
+        policy = FixedOrderPolicy(comm_perm)
         for comp_perm in itertools.permutations(tasks):
-            schedule = execute_two_orders(instance, comm_perm, comp_perm)
-            if schedule is None:
+            try:
+                schedule = simulate(instance, policy, comp_order=comp_perm).schedule
+            except DeadlockError:  # the pair of orders blocks under the capacity
                 continue
             if schedule.makespan < best_makespan - 1e-12:
                 best_makespan = schedule.makespan

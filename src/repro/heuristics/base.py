@@ -19,6 +19,7 @@ from enum import Enum
 
 from ..core.instance import Instance
 from ..core.schedule import Schedule
+from ..simulator.columnar import _normalise_engine
 from ..simulator.engine import SimulationResult, simulate as _simulate
 from ..simulator.policies import SelectionPolicy
 from ..simulator.resources import MachineModel
@@ -90,7 +91,7 @@ class Heuristic(abc.ABC):
     """A strategy that orders the data transfers of an instance.
 
     Subclasses implement :meth:`schedule`; the instance's memory capacity is
-    always respected by construction (the executors enforce it), so the result
+    always respected by construction (the kernel enforces it), so the result
     is feasible whenever every task individually fits in memory.
     """
 
@@ -170,10 +171,11 @@ class Heuristic(abc.ABC):
         whose tasks carry release (arrival) dates are routed through the
         heuristic's :meth:`online_policy` — arrival-awareness is a property
         of the data, not a separate execution mode.  ``engine`` selects the
-        execution engine (``"auto"`` | ``"object"`` | ``"columnar"``, see
-        :func:`repro.simulator.columnar.resolve_engine`); the columnar fast
-        path is used when it supports the configuration, falling back to
-        the object kernel otherwise.
+        execution engine (``"auto"`` | ``"object"`` | ``"columnar"`` |
+        ``"batched"``, see :func:`repro.simulator.columnar.plan_engine`); a
+        fast path is used when it supports the configuration, falling back
+        to the object kernel otherwise.  Unknown names raise, also for
+        heuristics that do not run on the kernel.
         """
         if instance.has_releases:
             policy = self.online_policy(instance)
@@ -186,6 +188,7 @@ class Heuristic(abc.ABC):
             return _simulate(instance, policy, machine=machine, record=record, engine=engine)
         policy = self.kernel_policy(instance)
         if policy is None:
+            _normalise_engine(engine)  # no kernel runs, but unknown names still fail
             if machine is not None:
                 raise ValueError(
                     f"heuristic {self.name!r} does not run on the simulation kernel "

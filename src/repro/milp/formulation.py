@@ -266,18 +266,21 @@ def retime_by_orders(instance: Instance, schedule: Schedule) -> Schedule:
     which can translate into infinitesimal overlaps of memory intervals.  The
     repaired schedule keeps the communication and computation orders chosen by
     the solver but recomputes exact event times with the memory-aware
-    executor; if the executor cannot realise the orders (which only happens
-    when the original solution was materially infeasible), the input schedule
-    is returned unchanged.
+    kernel; if the kernel cannot realise the orders (it deadlocks only when
+    the original solution was materially infeasible), the input schedule is
+    returned unchanged.
     """
-    from ..simulator.static_executor import execute_two_orders
+    from ..simulator.engine import DeadlockError, resolve_order, simulate
+    from ..simulator.policies import FixedOrderPolicy
 
     if len(schedule) == 0:
         return schedule
-    comm_order = schedule.communication_order()
-    comp_order = schedule.computation_order()
-    repaired = execute_two_orders(instance, comm_order, comp_order)
-    return schedule if repaired is None else repaired
+    comm_order = resolve_order(instance, schedule.communication_order())
+    policy = FixedOrderPolicy(tuple(comm_order))
+    try:
+        return simulate(instance, policy, comp_order=schedule.computation_order()).schedule
+    except DeadlockError:
+        return schedule
 
 
 def solve_exact(instance: Instance, *, time_limit: float | None = 60.0) -> MilpResult:

@@ -39,6 +39,8 @@ from ..core.instance import Instance
 from ..core.schedule import Schedule, ScheduledTask
 from ..core.task import Task
 from ..heuristics.base import Category
+from ..simulator.batch import _ScheduleOnlySolver
+from ..simulator.columnar import _normalise_engine
 from ..simulator.engine import SimulationResult
 from ..simulator.resources import MachineModel
 from .outcome import OutcomeMixin, PortfolioOutcome
@@ -375,25 +377,9 @@ class CachedSolver(OutcomeMixin):
         record: bool,
         engine: str | None,
     ) -> SimulationResult:
-        if hasattr(self._inner, "simulate"):
-            extra = {} if engine is None else {"engine": engine}
-            return self._inner.simulate(instance, machine=machine, record=record, **extra)
-        if engine is not None and engine != "auto":
-            raise ValueError(
-                f"solver {self._inner.name!r} does not run on the simulation kernel "
-                "and cannot target a specific execution engine"
-            )
-        if machine is not None:
-            raise ValueError(
-                f"solver {self._inner.name!r} does not run on the simulation kernel "
-                "and cannot target a custom machine model"
-            )
-        if record:
-            raise ValueError(
-                f"solver {self._inner.name!r} does not run on the simulation kernel "
-                "and cannot record an event trace"
-            )
-        return SimulationResult(schedule=self._inner.schedule(instance), trace=None)
+        inner = self._inner
+        runner = inner if hasattr(inner, "simulate") else _ScheduleOnlySolver(inner)
+        return runner.simulate(instance, machine=machine, record=record, engine=engine)
 
     def simulate(
         self,
@@ -403,6 +389,7 @@ class CachedSolver(OutcomeMixin):
         record: bool = False,
         engine: str | None = None,
     ) -> SimulationResult:
+        _normalise_engine(engine)  # a cache hit must not hide an unknown engine
         key = self.key(instance, machine)
         if not record:
             cached = self.cache.get(key)

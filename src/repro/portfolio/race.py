@@ -34,6 +34,7 @@ from ..core.bounds import area_lower_bound, omim
 from ..core.instance import Instance
 from ..core.schedule import Schedule
 from ..heuristics.base import Category, Heuristic
+from ..simulator.columnar import _normalise_engine
 from ..simulator.engine import SimulationResult, simulate
 from ..simulator.policies import SelectionPolicy
 from ..simulator.resources import MachineModel
@@ -308,8 +309,9 @@ class PortfolioSolver(OutcomeMixin):
         record: bool = False,
         engine: str | None = None,
     ) -> SimulationResult:
-        # engine= is accepted for interface uniformity; the race itself runs
-        # its members through their own simulate() dispatch (auto engine).
+        # engine= is checked but not forwarded: the race runs its members
+        # through their own simulate() dispatch (auto engine).
+        _normalise_engine(engine)
         schedule, report = self.race(instance, machine=machine)
         self._record_outcome(PortfolioOutcome(selected=report.winner, report=report))
         if record:

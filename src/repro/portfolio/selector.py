@@ -317,8 +317,7 @@ class SelectingSolver(OutcomeMixin):
 
         choice = self.choose(instance, machine)
         solver = get_solver(choice)
-        extra = {} if engine is None else {"engine": engine}
-        result = solver.simulate(instance, machine=machine, record=record, **extra)
+        result = solver.simulate(instance, machine=machine, record=record, engine=engine)
         self._record_outcome(PortfolioOutcome(selected=solver.name))
         return result
 

@@ -1,8 +1,13 @@
-"""Unified event-driven simulation kernel and its execution-mode wrappers.
+"""Unified event-driven simulation kernel and its fast engines.
 
-Layout (kernel → policies → facade):
+Layout (kernel → policies → facade); every run goes through
+:func:`simulate`, and :func:`plan_engine` decides which engine runs it:
 
-* :mod:`~repro.simulator.engine` — the single event loop (:func:`simulate`);
+* :mod:`~repro.simulator.engine` — the object event loop (:func:`simulate`);
+* :mod:`~repro.simulator.columnar` — the array-native single-run engine and
+  :func:`plan_engine`, the one engine decision;
+* :mod:`~repro.simulator.batched` — the cross-instance batched plane
+  (many fixed-order lanes per numpy step);
 * :mod:`~repro.simulator.ledger` — incremental :class:`MemoryLedger`;
 * :mod:`~repro.simulator.resources` — pluggable :class:`ResourceModel` /
   :class:`MachineModel` (parallel links, capacity overrides);
@@ -13,8 +18,6 @@ Layout (kernel → policies → facade):
   trace replay) stamping release dates onto task streams;
 * :mod:`~repro.simulator.online` — the streaming runtime: online policy
   adapters, windowed (pipelined) policies and :func:`run_online`;
-* :mod:`~repro.simulator.static_executor` / :mod:`~repro.simulator.dynamic_executor`
-  — thin compatibility wrappers with the historical entry points;
 * :mod:`~repro.simulator.batch` — Section 6.3 batched execution (barrier
   and pipelined modes, both on the kernel).
 """
@@ -26,28 +29,19 @@ from .arrivals import (
     TraceReplayArrivals,
     resolve_arrivals,
 )
-from .batch import DEFAULT_BATCH_SIZE, execute_in_batches, simulate_in_batches
-from .batched import (
-    BATCH_AUTO_THRESHOLD,
-    BatchedPlane,
-    batched_supported,
-    batched_unsupported_reason,
-    simulate_batched,
-    simulate_batched_outcomes,
-)
+from .batch import DEFAULT_BATCH_SIZE, simulate_in_batches
+from .batched import BatchedPlane, simulate_batched, simulate_batched_outcomes
 from .columnar import (
+    BATCH_AUTO_THRESHOLD,
     COLUMNAR_AUTO_THRESHOLD,
     ColumnarInstance,
     ColumnarSchedule,
     columnar_johnson_order,
     columnar_key_order,
-    columnar_supported,
     columnar_view,
-    resolve_engine,
+    plan_engine,
     simulate_columnar,
-    unsupported_reason,
 )
-from .dynamic_executor import execute_with_policy
 from .engine import (
     DeadlockError,
     InfeasibleOrderError,
@@ -83,7 +77,6 @@ from .resources import (
     ResourceModel,
     UnitResource,
 )
-from .static_executor import execute_fixed_order, execute_two_orders
 
 __all__ = [
     "BATCH_AUTO_THRESHOLD",
@@ -118,21 +111,14 @@ __all__ = [
     "WindowedCorrectedPolicy",
     "WindowedCriterionPolicy",
     "WindowedPlanPolicy",
-    "batched_supported",
-    "batched_unsupported_reason",
     "columnar_johnson_order",
     "columnar_key_order",
-    "columnar_supported",
     "columnar_view",
-    "execute_fixed_order",
-    "execute_in_batches",
-    "execute_two_orders",
-    "execute_with_policy",
     "largest_communication",
     "maximum_acceleration",
     "minimum_idle_filter",
+    "plan_engine",
     "resolve_arrivals",
-    "resolve_engine",
     "resolve_order",
     "run_online",
     "simulate",
@@ -141,5 +127,4 @@ __all__ = [
     "simulate_columnar",
     "simulate_in_batches",
     "smallest_communication",
-    "unsupported_reason",
 ]

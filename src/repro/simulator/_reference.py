@@ -59,7 +59,7 @@ def _earliest_memory_feasible_start(
 def reference_execute_fixed_order(
     instance: Instance, order: Sequence[Task] | Sequence[str] | None = None
 ) -> Schedule:
-    """Seed ``execute_fixed_order``: per-task holder re-scan."""
+    """Seed fixed-order executor: per-task holder re-scan."""
     tasks = resolve_order(instance, order)
     capacity = instance.capacity
     for task in tasks:
@@ -93,7 +93,7 @@ def reference_execute_two_orders(
     comm_order: Sequence[Task] | Sequence[str],
     comp_order: Sequence[Task] | Sequence[str],
 ) -> Schedule | None:
-    """Seed ``execute_two_orders``: holder list rebuilt at every transfer."""
+    """Seed two-order executor: holder list rebuilt at every transfer."""
     comm_tasks = resolve_order(instance, comm_order)
     comp_tasks = resolve_order(instance, comp_order)
     capacity = instance.capacity
@@ -168,7 +168,7 @@ class ReferenceCorrectedOrderPolicy:
 
 
 def reference_execute_with_policy(instance: Instance, policy) -> Schedule:
-    """Seed ``execute_with_policy``: holder re-sum at every decision point."""
+    """Seed policy executor: holder re-sum at every decision point."""
     capacity = instance.capacity
     for task in instance:
         if task.memory > capacity + TOLERANCE:

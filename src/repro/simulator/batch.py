@@ -23,27 +23,27 @@ earlier); ``benchmarks/bench_online_modes.py`` quantifies the gap.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ..core.instance import Instance
 from ..core.schedule import Schedule
+from .columnar import _normalise_engine
 from .engine import SimulationResult
 from .events import EventTrace
 from .resources import MachineModel
 
-__all__ = ["execute_in_batches", "simulate_in_batches", "DEFAULT_BATCH_SIZE"]
+__all__ = ["simulate_in_batches", "DEFAULT_BATCH_SIZE"]
 
 #: Batch size used in the paper's Section 6.3 experiments.
 DEFAULT_BATCH_SIZE = 100
 
 
-class _CallableScheduler:
-    """Adapter giving a plain ``Instance -> Schedule`` callable the solver
-    ``simulate`` surface (kernel engine options are rejected, not ignored)."""
+class _ScheduleOnlySolver:
+    """Adapter giving a schedule-only solver (``schedule`` but no
+    ``simulate``) the solver ``simulate`` surface; kernel options are
+    rejected, not ignored."""
 
-    def __init__(self, fn: Callable[[Instance], Schedule], name: str | None = None) -> None:
-        self._fn = fn
-        self.name = name or getattr(fn, "__name__", "scheduler")
+    def __init__(self, solver) -> None:
+        self._schedule = solver.schedule
+        self.name = getattr(solver, "name", type(solver).__name__)
 
     def simulate(
         self,
@@ -53,22 +53,18 @@ class _CallableScheduler:
         record: bool = False,
         engine: str | None = None,
     ) -> SimulationResult:
+        if _normalise_engine(engine, environ=False) != "auto":
+            self._reject("target a specific execution engine")
         if machine is not None:
-            raise ValueError(
-                f"scheduler {self.name!r} is a plain callable and cannot "
-                "target a custom machine model"
-            )
+            self._reject("target a custom machine model")
         if record:
-            raise ValueError(
-                f"scheduler {self.name!r} is a plain callable and cannot "
-                "record an event trace"
-            )
-        if engine is not None and engine != "auto":
-            raise ValueError(
-                f"scheduler {self.name!r} is a plain callable and cannot "
-                "target a specific execution engine"
-            )
-        return SimulationResult(schedule=self._fn(instance), trace=None)
+            self._reject("record an event trace")
+        return SimulationResult(schedule=self._schedule(instance), trace=None)
+
+    def _reject(self, option: str) -> None:
+        raise ValueError(
+            f"solver {self.name!r} does not run on the simulation kernel and cannot {option}"
+        )
 
 
 def simulate_in_batches(
@@ -84,8 +80,8 @@ def simulate_in_batches(
     """Run ``solver`` over successive batches of ``batch_size`` tasks.
 
     ``solver`` is any registered solver / heuristic (its ``simulate`` and
-    ``window_policy`` surfaces are used) or a plain ``Instance -> Schedule``
-    callable (barrier mode only, without engine options).  ``machine`` and
+    ``window_policy`` surfaces are used) or a schedule-only solver (barrier
+    mode only, without engine options).  ``machine`` and
     ``record`` compose with batching in both modes; solvers that do not run
     on the kernel reject them explicitly instead of silently ignoring them.
     ``engine`` selects the execution engine per window (barrier mode; the
@@ -105,13 +101,9 @@ def simulate_in_batches(
     if hasattr(solver, "simulate"):
         runner = solver
     elif hasattr(solver, "schedule"):  # schedule-only Solver protocol object
-        runner = _CallableScheduler(solver.schedule, name=getattr(solver, "name", None))
-    elif callable(solver):
-        runner = _CallableScheduler(solver)
+        runner = _ScheduleOnlySolver(solver)
     else:
-        raise TypeError(
-            f"expected a solver or an Instance -> Schedule callable, got {type(solver).__name__}"
-        )
+        raise TypeError(f"expected a solver, got {type(solver).__name__}")
 
     if pipelined:
         return _simulate_pipelined(instance, runner, batch_size, machine, record, engine)
@@ -132,11 +124,8 @@ def _simulate_barrier(
     engines: set[str] = set()
     stats = None
     offset = 0.0
-    # Only pass engine= when requested: simulate() surfaces predating the
-    # engine option (external solvers) keep working untouched.
-    extra = {} if engine is None else {"engine": engine}
     for batch in instance.batches(batch_size):
-        result = solver.simulate(batch, machine=machine, record=record, **extra)
+        result = solver.simulate(batch, machine=machine, record=record, engine=engine)
         shifted = result.schedule.shifted(offset)
         entries.extend(shifted.entries)
         batch_engine = getattr(result, "engine", "")
@@ -187,19 +176,3 @@ def _simulate_pipelined(
             "(kernel-backed heuristics only)"
         )
     return simulate(instance, policy, machine=machine, record=record, engine=engine)
-
-
-def execute_in_batches(
-    instance: Instance,
-    scheduler: Callable[[Instance], Schedule],
-    *,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> Schedule:
-    """Apply ``scheduler`` to successive batches and chain the results.
-
-    The historical barrier-mode entry point: ``scheduler`` maps a
-    (sub-)instance to a feasible schedule and batch ``k+1`` starts after the
-    makespan of batches ``0..k``.  :func:`simulate_in_batches` is the full
-    interface (machine models, event traces, pipelined mode).
-    """
-    return simulate_in_batches(instance, scheduler, batch_size=batch_size).schedule

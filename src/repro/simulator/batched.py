@@ -39,9 +39,9 @@ operand-for-operand the unconstrained chain.
 Supported lanes are the sweep hot path: one link, one CPU, no release
 dates, a :class:`~repro.simulator.policies.FixedOrderPolicy` (optionally
 with the Proposition 1 ``comp_order`` second order), no event recording.
-:func:`batched_unsupported_reason` reports why a run cannot join a batch;
-the sweep engine (:mod:`repro.api.engine`) groups eligible lanes and
-falls back per-instance for everything else.
+:func:`~repro.simulator.columnar.plan_engine` reports why a run cannot join
+a batch; the sweep engine (:mod:`repro.api.engine`) groups eligible lanes
+and falls back per-instance for everything else.
 """
 
 from __future__ import annotations
@@ -54,19 +54,16 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.instance import Instance
-from ..core.task import Task
 from ..core.validation import TOLERANCE
 from ..obs import spans as _obs
 from ..obs.stats import KernelStats
 from .columnar import (
-    ColumnarInstance,
+    BATCH_AUTO_THRESHOLD,
     _columnar_schedule,
     _fixed_order_indices,
     columnar_view,
-    unsupported_reason,
+    plan_engine,
 )
-from .policies import FixedOrderPolicy, SelectionPolicy
 from .resources import DEFAULT_MACHINE, MachineModel
 
 __all__ = [
@@ -74,15 +71,8 @@ __all__ = [
     "BatchRun",
     "simulate_batched",
     "simulate_batched_outcomes",
-    "batched_supported",
-    "batched_unsupported_reason",
     "BATCH_AUTO_THRESHOLD",
 ]
-
-#: ``engine="auto"`` batches a homogeneous sweep group at or above this many
-#: lanes (combined with the columnar task-count threshold); below it the
-#: per-lane numpy dispatch overhead beats the saved Python iterations.
-BATCH_AUTO_THRESHOLD = 16
 
 #: One run to batch: ``(instance, policy)`` or ``(instance, policy, comp_order)``.
 BatchRun = tuple
@@ -106,47 +96,6 @@ def _gc_paused():
     finally:
         if was_enabled:
             gc.enable()
-
-
-def batched_unsupported_reason(
-    instance: Instance,
-    policy: SelectionPolicy,
-    *,
-    machine: MachineModel | None = None,
-    comp_order: Sequence[Task] | Sequence[str] | None = None,
-    record: bool = False,
-) -> str | None:
-    """Why this run cannot join a batch plane, or ``None`` if it can.
-
-    Batching is stricter than the columnar engine: only single-link
-    machines and exact :class:`FixedOrderPolicy` lanes vectorize across
-    the lane axis; anything else falls back to columnar/object per run.
-    """
-    machine = DEFAULT_MACHINE if machine is None else machine
-    if machine.link_count != 1:
-        return "multi-link machines run per-instance on the columnar/object kernels"
-    if type(policy) is not FixedOrderPolicy:
-        return "only fixed-order policies batch across lanes"
-    return unsupported_reason(
-        instance, policy, machine=machine, comp_order=comp_order, record=record
-    )
-
-
-def batched_supported(
-    instance: Instance,
-    policy: SelectionPolicy,
-    *,
-    machine: MachineModel | None = None,
-    comp_order: Sequence[Task] | Sequence[str] | None = None,
-    record: bool = False,
-) -> bool:
-    """Whether this run can be a :class:`BatchedPlane` lane."""
-    return (
-        batched_unsupported_reason(
-            instance, policy, machine=machine, comp_order=comp_order, record=record
-        )
-        is None
-    )
 
 
 class _Lane:
@@ -211,10 +160,10 @@ class BatchedPlane:
         for run in runs:
             instance, policy = run[0], run[1]
             comp_order = run[2] if len(run) > 2 else None
-            reason = batched_unsupported_reason(
-                instance, policy, machine=machine, comp_order=comp_order
+            ran, reason = plan_engine(
+                instance, policy, engine="batched", machine=machine, comp_order=comp_order
             )
-            if reason is not None:
+            if ran != "batched":
                 raise ValueError(f"batched engine cannot run this lane: {reason}")
             view = columnar_view(instance)
             order = _fixed_order_indices(view, policy)
@@ -780,7 +729,8 @@ def simulate_batched_outcomes(
     """Pack ``runs`` into one plane and simulate; per-lane outcomes in lane
     order (each a ``SimulationResult`` or the lane's captured kernel
     error).  Raises :class:`ValueError` when any run cannot batch — use
-    :func:`batched_supported` / the sweep grouping to pre-filter."""
+    :func:`~repro.simulator.columnar.plan_engine` / the sweep grouping to
+    pre-filter."""
     if not runs:
         return []
     return BatchedPlane.pack(runs, machine=machine).run()

@@ -49,12 +49,13 @@ and the :class:`~repro.simulator.policies.FixedOrderPolicy` /
 :class:`~repro.simulator.policies.CorrectedOrderPolicy` triple with the
 paper's three criteria.  Everything else — event recording, release-dated
 (streaming) instances, multi-CPU machines, window/online policies, custom
-criteria — falls back to the object kernel; :func:`unsupported_reason`
-reports why.  Engine choice is resolved by :func:`resolve_engine`
-(``"auto"`` | ``"object"`` | ``"columnar"``, overridable with the
-``REPRO_ENGINE`` environment variable); ``"auto"`` takes the fast path when
+criteria — falls back to the object kernel.  :func:`plan_engine` makes
+every engine decision (``"auto"`` | ``"object"`` | ``"columnar"`` |
+``"batched"``, with ``"auto"`` overridable by the ``REPRO_ENGINE``
+environment variable) and reports why: ``"auto"`` takes the fast path when
 it is supported and the instance has at least
-:data:`COLUMNAR_AUTO_THRESHOLD` tasks.
+:data:`COLUMNAR_AUTO_THRESHOLD` tasks, and the cross-instance batched plane
+once a sweep also has :data:`BATCH_AUTO_THRESHOLD` fixed-order lanes.
 """
 
 from __future__ import annotations
@@ -89,20 +90,19 @@ __all__ = [
     "ColumnarSchedule",
     "columnar_view",
     "simulate_columnar",
-    "columnar_supported",
-    "unsupported_reason",
-    "resolve_engine",
+    "plan_engine",
     "columnar_key_order",
     "columnar_johnson_order",
     "ENGINE_CHOICES",
     "ENGINE_ENV_VAR",
     "COLUMNAR_AUTO_THRESHOLD",
+    "BATCH_AUTO_THRESHOLD",
 ]
 
 #: Recognised values of the ``engine=`` option across the facade.
 #: ``"batched"`` stacks homogeneous fixed-order sweep lanes into one numpy
-#: step loop (:mod:`repro.simulator.batched`); single runs under it fall
-#: back to the columnar scan, which is float-identical.
+#: step loop (:mod:`repro.simulator.batched`); a single run under it is a
+#: one-lane plane.
 ENGINE_CHOICES: tuple[str, ...] = ("auto", "object", "columnar", "batched")
 
 #: Environment override for ``engine="auto"`` (CI forces ``columnar`` here
@@ -114,26 +114,34 @@ ENGINE_ENV_VAR = "REPRO_ENGINE"
 #: measured by ``benchmarks/bench_engine_scaling.py`` is well under this).
 COLUMNAR_AUTO_THRESHOLD = 256
 
+#: ``engine="auto"`` batches a homogeneous sweep group at or above this many
+#: lanes (combined with the columnar task-count threshold); below it the
+#: per-lane numpy dispatch overhead beats the saved Python iterations.
+BATCH_AUTO_THRESHOLD = 16
+
 #: Attribute under which the packed view is cached on the instance.
 _VIEW_ATTR = "_columnar_view"
 
 
-def resolve_engine(engine: str | None) -> str:
+def _normalise_engine(engine: str | None, *, environ: bool = True) -> str:
     """Normalise an ``engine=`` option to one of :data:`ENGINE_CHOICES`.
 
-    ``None`` means "auto"; an ``"auto"`` request additionally honours the
-    ``REPRO_ENGINE`` environment variable, so a whole test run or sweep can
-    be forced onto one engine without touching call sites.
+    ``None`` means ``"auto"``; an ``"auto"`` request additionally honours
+    the ``REPRO_ENGINE`` environment variable (unless ``environ=False``,
+    for callers that store the request and resolve it later), so a whole
+    test run or sweep can be forced onto one engine without touching call
+    sites.  Unknown names raise, naming the variable when it is the source.
     """
     choice = "auto" if engine is None else str(engine).lower()
-    if choice == "auto":
+    override = ""
+    if choice == "auto" and environ:
         override = os.environ.get(ENGINE_ENV_VAR, "").strip().lower()
         if override:
             choice = override
     if choice not in ENGINE_CHOICES:
+        source = f"{override!r} (from {ENGINE_ENV_VAR})" if override else repr(engine)
         raise ValueError(
-            f"unknown engine {engine if engine is not None else choice!r}; "
-            f"choose from {list(ENGINE_CHOICES)} "
+            f"unknown engine {source}; choose from {list(ENGINE_CHOICES)} "
             f"(the {ENGINE_ENV_VAR} environment variable overrides 'auto')"
         )
     return choice
@@ -225,7 +233,7 @@ class ColumnarInstance:
         """Per-task ``comp/comm`` with the kernel's zero-communication rules
         (``inf`` when only the communication is zero, ``0.0`` when both are)."""
         if self._acceleration is None:
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 acc = self.comp / self.comm
             zero_comm = self.comm == 0.0
             acc[zero_comm & (self.comp > 0.0)] = math.inf
@@ -419,7 +427,7 @@ def columnar_johnson_order(instance: Instance) -> list[Task] | None:
 
 
 # --------------------------------------------------------------------------- #
-# Support matrix
+# Engine plan
 # --------------------------------------------------------------------------- #
 def _criterion_keys(view: ColumnarInstance, criterion) -> np.ndarray | None:
     """Packed sort keys replicating a criterion function, or ``None``."""
@@ -468,55 +476,67 @@ def _fixed_order_indices(
     return order
 
 
-def unsupported_reason(
+def plan_engine(
     instance: Instance,
     policy: SelectionPolicy,
     *,
+    engine: str | None = None,
     machine: MachineModel | None = None,
     comp_order: Sequence[Task] | Sequence[str] | None = None,
     record: bool = False,
-) -> str | None:
-    """Why the columnar engine declines this run, or ``None`` if it can run.
+    lanes: int = 1,
+) -> tuple[str, str]:
+    """The engine that runs ``policy`` on ``instance``, and why.
 
-    The fast path never guesses: any feature it cannot replay bit-for-bit —
-    event recording, release-dated instances, multi-CPU machines, policies
-    or criteria outside the paper's triple — is a reason to fall back.
+    Every engine decision is made here: :func:`~repro.simulator.engine.
+    simulate` dispatches on the returned name, :func:`simulate_columnar`
+    and :meth:`~repro.simulator.batched.BatchedPlane.pack` refuse any run
+    it does not plan onto their engine, and the sweep's lane grouping
+    passes its ``lanes`` count to learn whether a group rides the batched
+    plane.  Returns ``(engine, reason)`` with ``engine`` one of
+    ``"object"``, ``"columnar"`` or ``"batched"``.
+
+    The fast paths never guess: any feature they cannot replay bit-for-bit
+    — event recording, release-dated instances, multi-CPU machines,
+    policies or criteria outside the paper's triple — plans the object
+    kernel, and only single-link fixed-order runs batch.  The request and
+    the auto task-count threshold are checked before anything builds a
+    columnar view, so small ``auto`` runs stay as cheap as the object
+    kernel itself.
     """
-    machine = DEFAULT_MACHINE if machine is None else machine
+    choice = _normalise_engine(engine)
+    if choice == "object":
+        return "object", "object engine requested"
+    if choice == "auto" and len(instance) < COLUMNAR_AUTO_THRESHOLD:
+        return "object", "auto: fewer tasks than COLUMNAR_AUTO_THRESHOLD"
     if record:
-        return "event recording is only implemented by the object kernel"
+        return "object", "event recording is only implemented by the object kernel"
+    machine = DEFAULT_MACHINE if machine is None else machine
     if machine.cpu_count != 1:
-        return "multi-CPU machines are only implemented by the object kernel"
+        return "object", "multi-CPU machines are only implemented by the object kernel"
     kind = type(policy)
     if kind is not FixedOrderPolicy:
         if comp_order is not None:
-            return "comp_order is only supported with a FixedOrderPolicy"
+            return "object", "comp_order is only supported with a FixedOrderPolicy"
         if kind is not CriterionPolicy and kind is not CorrectedOrderPolicy:
-            return f"policy {kind.__name__!r} is only implemented by the object kernel"
+            return "object", f"policy {kind.__name__!r} is only implemented by the object kernel"
     view = columnar_view(instance)
     if bool((view.release > 0.0).any()):
-        return "release-dated instances run on the streaming (object) kernel"
+        return "object", "release-dated instances run on the streaming (object) kernel"
     if kind is not FixedOrderPolicy and _criterion_keys(view, policy.criterion) is None:
         name = getattr(policy.criterion, "__name__", policy.criterion)
-        return f"criterion {name!r} has no packed key"
-    return None
-
-
-def columnar_supported(
-    instance: Instance,
-    policy: SelectionPolicy,
-    *,
-    machine: MachineModel | None = None,
-    comp_order: Sequence[Task] | Sequence[str] | None = None,
-    record: bool = False,
-) -> bool:
-    """Whether :func:`simulate_columnar` can run this configuration."""
-    return (
-        unsupported_reason(
-            instance, policy, machine=machine, comp_order=comp_order, record=record
-        )
-        is None
-    )
+        return "object", f"criterion {name!r} has no packed key"
+    if choice == "columnar":
+        return "columnar", "columnar engine requested"
+    if choice == "auto" and lanes < BATCH_AUTO_THRESHOLD:
+        return "columnar", "auto: fewer lanes than BATCH_AUTO_THRESHOLD"
+    if machine.link_count != 1:
+        return "columnar", "multi-link machines run per-instance on the columnar/object kernels"
+    if kind is not FixedOrderPolicy:
+        return "columnar", "only fixed-order policies batch across lanes"
+    if choice == "batched":
+        return "batched", "batched engine requested"
+    return "batched", "auto: at least BATCH_AUTO_THRESHOLD lanes"
 
 
 # --------------------------------------------------------------------------- #
@@ -534,18 +554,23 @@ def simulate_columnar(
 
     Produces a :class:`~repro.simulator.engine.SimulationResult` whose
     schedule is float-for-float identical to the object kernel's, or raises
-    :class:`ValueError` when the configuration is unsupported (use
-    :func:`columnar_supported` / the engine dispatch to fall back instead).
+    :class:`ValueError` when :func:`plan_engine` does not plan the run onto
+    the columnar engine (dispatch through ``simulate`` to fall back instead).
     The errors of infeasible runs — ``InfeasibleOrderError`` for a task that
     can never fit, ``DeadlockError`` for a blocked two-order run — are the
     kernel's own classes with the kernel's exact messages.
     """
     from .engine import InfeasibleOrderError, SimulationResult, resolve_order
 
-    reason = unsupported_reason(
-        instance, policy, machine=machine, comp_order=comp_order, record=record
+    ran, reason = plan_engine(
+        instance,
+        policy,
+        engine="columnar",
+        machine=machine,
+        comp_order=comp_order,
+        record=record,
     )
-    if reason is not None:
+    if ran != "columnar":
         raise ValueError(f"columnar engine cannot run this configuration: {reason}")
     machine = DEFAULT_MACHINE if machine is None else machine
     view = columnar_view(instance)

@@ -1,4 +1,4 @@
-"""Unified event-driven simulation kernel — one engine under every executor.
+"""Unified event-driven simulation kernel — the object engine under every run.
 
 Architecture (kernel → policies → facade)::
 
@@ -15,8 +15,8 @@ point the link is (about to be) free, the policy picks the next task, the
 transfer is booked on the link resource, the task's memory is acquired, and
 every computation enabled by the computation order is booked on the
 processing unit.  The paper's three execution modes differ only in the
-policy; the Proposition 1 two-order executor additionally fixes the
-computation order (``comp_order``).
+policy; the Proposition 1 two-order runs additionally fix the computation
+order (``comp_order``).
 
 The kernel reproduces the seed executors byte-for-byte on the default
 machine model — pinned by ``tests/simulator/test_kernel_crosscheck.py``
@@ -62,8 +62,8 @@ class DeadlockError(InfeasibleOrderError):
 class SimulationResult:
     """Outcome of one kernel run: the schedule plus its optional event trace.
 
-    ``engine`` names the kernel that produced the result (``"object"`` or
-    ``"columnar"``); schedule-only solvers that never touch a kernel leave
+    ``engine`` names the kernel that produced the result (``"object"``,
+    ``"columnar"`` or ``"batched"``); schedule-only solvers that never touch a kernel leave
     it empty.  ``stats`` carries the per-run profiling counters
     (:class:`~repro.obs.stats.KernelStats`); its deterministic fields are
     always populated, its wall-clock fields only while tracing is enabled.
@@ -194,12 +194,14 @@ def simulate(
         Emit a structured :class:`~repro.simulator.events.EventTrace`.
     engine:
         ``"object"`` (this module's loop), ``"columnar"`` (the array-native
-        fast path of :mod:`repro.simulator.columnar`, falling back here
-        when the configuration is unsupported), or ``"auto"``/``None``
-        (columnar for large supported instances, object otherwise; the
-        ``REPRO_ENGINE`` environment variable overrides auto).  Both
-        engines produce float-for-float identical schedules; the result's
-        ``engine`` field records which one ran.
+        fast path of :mod:`repro.simulator.columnar`), ``"batched"`` (a
+        one-lane :class:`~repro.simulator.batched.BatchedPlane`), or
+        ``"auto"``/``None`` (columnar for large supported instances, object
+        otherwise; the ``REPRO_ENGINE`` environment variable overrides
+        auto).  :func:`~repro.simulator.columnar.plan_engine` decides, and
+        falls back here when a fast path does not support the
+        configuration.  All engines produce float-for-float identical
+        schedules; the result's ``engine`` field records which one ran.
 
     Tasks with a positive :attr:`~repro.core.task.Task.release` date are
     time-gated: they join the ready set only once the clock reaches their
@@ -219,38 +221,20 @@ def simulate(
     """
     if engine != "object":
         # Lazy import: columnar imports this module for the result/error types.
-        from .columnar import (
-            COLUMNAR_AUTO_THRESHOLD,
-            columnar_supported,
-            resolve_engine,
-            simulate_columnar,
+        from .columnar import plan_engine, simulate_columnar
+
+        ran, _ = plan_engine(
+            instance, policy, engine=engine, machine=machine, comp_order=comp_order, record=record
         )
+        if ran == "batched":
+            from .batched import simulate_batched
 
-        choice = resolve_engine(engine)
-        if choice == "batched":
-            # A single run is a one-lane batch; unsupported lanes fall
-            # through to the columnar/object dispatch below.
-            from .batched import batched_supported, simulate_batched
-
-            if batched_supported(
+            run = (instance, policy) if comp_order is None else (instance, policy, comp_order)
+            return simulate_batched([run], machine=machine)[0]
+        if ran == "columnar":
+            return simulate_columnar(
                 instance, policy, machine=machine, comp_order=comp_order, record=record
-            ):
-                run = (instance, policy) if comp_order is None else (
-                    instance,
-                    policy,
-                    comp_order,
-                )
-                return simulate_batched([run], machine=machine)[0]
-        if choice != "object" and (
-            choice in ("columnar", "batched")
-            or len(instance) >= COLUMNAR_AUTO_THRESHOLD
-        ):
-            if columnar_supported(
-                instance, policy, machine=machine, comp_order=comp_order, record=record
-            ):
-                return simulate_columnar(
-                    instance, policy, machine=machine, comp_order=comp_order, record=record
-                )
+            )
     machine = DEFAULT_MACHINE if machine is None else machine
     capacity = machine.effective_capacity(instance.capacity)
     for task in instance:

@@ -7,14 +7,17 @@ import pytest
 from repro.api import (
     ResultSet,
     Study,
+    get_solver,
     paper_lineup,
     register_solver,
     run_solvers_on_instance,
     solve,
+    solver_names,
     unregister_solver,
 )
 from repro.core import Instance, Task, omim
 from repro.heuristics import StaticOrderHeuristic
+from repro.simulator import FixedOrderPolicy, simulate
 from repro.traces import synthetic_trace
 
 
@@ -78,6 +81,27 @@ class TestSolve:
 
         with pytest.raises(TypeError, match="only accepted"):
             solve(table3_like_instance, OrderOfSubmission(), window=3)
+
+
+class TestUnknownEngineNames:
+    """Every entry point taking ``engine=`` rejects a name it does not know,
+    whether or not the solver behind it runs on the kernel."""
+
+    @pytest.mark.parametrize("name", solver_names())
+    def test_every_solver_rejects_an_unknown_engine(
+        self, name, table3_like_instance, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))  # portfolio.cached
+        with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+            solve(table3_like_instance, name, engine="bogus")
+        with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+            get_solver(name).simulate(table3_like_instance, engine="bogus")
+
+    def test_an_unknown_environment_override_is_named(self, table3_like_instance, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "bogus")
+        policy = FixedOrderPolicy(table3_like_instance.tasks)
+        with pytest.raises(ValueError, match="unknown engine 'bogus' \\(from REPRO_ENGINE\\)"):
+            simulate(table3_like_instance, policy)
 
 
 class TestStudy:

@@ -13,7 +13,7 @@ from repro.core import (
     static_example_instance,
 )
 from repro.flowshop import johnson_schedule
-from repro.simulator import execute_fixed_order
+from repro.simulator import FixedOrderPolicy, simulate
 
 
 class TestBounds:
@@ -49,12 +49,12 @@ class TestBounds:
 class TestMetrics:
     def test_ratio_to_optimal_at_least_one(self):
         instance = static_example_instance()
-        schedule = execute_fixed_order(instance)
+        schedule = simulate(instance, FixedOrderPolicy(instance.tasks)).schedule
         assert ratio_to_optimal(schedule, instance) >= 1.0
 
     def test_ratio_uses_supplied_reference(self):
         instance = static_example_instance()
-        schedule = execute_fixed_order(instance)
+        schedule = simulate(instance, FixedOrderPolicy(instance.tasks)).schedule
         assert ratio_to_optimal(schedule, instance, reference=schedule.makespan) == pytest.approx(1.0)
 
     def test_overlap_and_idle_fractions(self):
@@ -69,7 +69,7 @@ class TestMetrics:
 
     def test_evaluate_bundle(self):
         instance = static_example_instance()
-        schedule = execute_fixed_order(instance)
+        schedule = simulate(instance, FixedOrderPolicy(instance.tasks)).schedule
         metrics = evaluate(schedule, instance, heuristic="OS")
         assert metrics.heuristic == "OS"
         assert metrics.task_count == 4
@@ -80,5 +80,5 @@ class TestMetrics:
 
     def test_zero_reference_handling(self):
         instance = Instance([Task.from_times("A", 0, 0)])
-        schedule = execute_fixed_order(instance)
+        schedule = simulate(instance, FixedOrderPolicy(instance.tasks)).schedule
         assert ratio_to_optimal(schedule, instance) == 1.0

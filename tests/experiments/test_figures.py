@@ -82,7 +82,13 @@ class TestWorkedExampleFigures:
             "OOMAMR": 33.0,
         }
 
-    def test_table02_reproduces_proposition1(self):
+    def test_table02_reproduces_proposition1(self, monkeypatch, proposition1_free_optimum):
+        # Reuse the exhaustive 720x720 two-order search of the session-scoped
+        # fixture instead of rerunning it; the table is still built from scratch.
+        monkeypatch.setattr(
+            "repro.experiments.figures.best_schedule_allowing_reordering",
+            lambda instance: proposition1_free_optimum,
+        )
         result = table02_proposition1()
         assert result.data["free_makespan"] == pytest.approx(22.0)
         assert result.data["free_makespan"] < result.data["permutation_makespan"]

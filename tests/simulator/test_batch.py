@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.api import resolve_solvers
-from repro.core import Instance, Task, tasks_from_pairs, validate_schedule
+from repro.core import Instance, Schedule, Task, tasks_from_pairs, validate_schedule
 from repro.heuristics.base import PAPER_FIGURE_ORDER
 from repro.simulator import (
     EventKind,
+    FixedOrderPolicy,
     MachineModel,
-    execute_fixed_order,
-    execute_in_batches,
+    simulate,
     simulate_in_batches,
 )
 
@@ -27,8 +27,15 @@ def instance():
     return Instance(tasks_from_pairs([(2, 3), (1, 1), (4, 2), (3, 3), (2, 2)]), capacity=6)
 
 
-def scheduler(sub_instance):
-    return execute_fixed_order(sub_instance)
+@pytest.fixture
+def os_solver():
+    (solver,) = resolve_solvers("OS")
+    return solver
+
+
+def submission_order(sub_instance):
+    """The submission-order (OS) schedule of one instance, straight from the kernel."""
+    return simulate(sub_instance, FixedOrderPolicy(sub_instance.tasks)).schedule
 
 
 def random_instance(rng: np.random.Generator, index: int, n: int = 24) -> Instance:
@@ -46,36 +53,33 @@ def random_instance(rng: np.random.Generator, index: int, n: int = 24) -> Instan
 
 
 class TestBatchedExecution:
-    def test_single_batch_equals_direct_execution(self, instance):
-        direct = execute_fixed_order(instance)
-        batched = execute_in_batches(instance, scheduler, batch_size=100)
-        assert batched.makespan == pytest.approx(direct.makespan)
+    def test_single_batch_equals_direct_execution(self, instance, os_solver):
+        batched = simulate_in_batches(instance, os_solver, batch_size=100).schedule
+        assert batched == submission_order(instance)
 
-    def test_batches_are_chained_sequentially(self, instance):
-        batched = execute_in_batches(instance, scheduler, batch_size=2)
-        per_batch = [
-            execute_fixed_order(batch) for batch in instance.batches(2)
-        ]
+    def test_batches_are_chained_sequentially(self, instance, os_solver):
+        batched = simulate_in_batches(instance, os_solver, batch_size=2).schedule
+        per_batch = [submission_order(batch) for batch in instance.batches(2)]
         expected = sum(schedule.makespan for schedule in per_batch)
         assert batched.makespan == pytest.approx(expected)
         assert validate_schedule(batched, instance).is_feasible
 
-    def test_batching_never_improves_makespan(self, instance):
-        direct = execute_fixed_order(instance).makespan
-        batched = execute_in_batches(instance, scheduler, batch_size=2).makespan
+    def test_batching_never_improves_makespan(self, instance, os_solver):
+        direct = submission_order(instance).makespan
+        batched = simulate_in_batches(instance, os_solver, batch_size=2).schedule.makespan
         assert batched + 1e-9 >= direct
 
-    def test_all_tasks_scheduled_once(self, instance):
-        batched = execute_in_batches(instance, scheduler, batch_size=2)
+    def test_all_tasks_scheduled_once(self, instance, os_solver):
+        batched = simulate_in_batches(instance, os_solver, batch_size=2).schedule
         assert sorted(e.name for e in batched) == sorted(instance.task_names)
 
-    def test_invalid_batch_size(self, instance):
+    def test_invalid_batch_size(self, instance, os_solver):
         with pytest.raises(ValueError):
-            execute_in_batches(instance, scheduler, batch_size=0)
+            simulate_in_batches(instance, os_solver, batch_size=0)
 
-    def test_empty_instance(self):
+    def test_empty_instance(self, os_solver):
         empty = Instance([])
-        assert execute_in_batches(empty, scheduler).makespan == 0.0
+        assert simulate_in_batches(empty, os_solver).schedule.makespan == 0.0
 
 
 class TestKernelComposition:
@@ -99,12 +103,9 @@ class TestKernelComposition:
         assert len(transfers) == len(instance)
 
     def test_callable_scheduler_rejects_engine_options(self, instance):
-        with pytest.raises(ValueError, match="plain callable"):
-            simulate_in_batches(
-                instance, scheduler, batch_size=2, machine=MachineModel(link_count=2)
-            )
-        with pytest.raises(ValueError, match="plain callable"):
-            simulate_in_batches(instance, scheduler, batch_size=2, record=True)
+        # A bare Instance -> Schedule callable is not a solver at all.
+        with pytest.raises(TypeError, match="expected a solver"):
+            simulate_in_batches(instance, submission_order, batch_size=2)
 
     def test_milp_rejects_engine_options_but_batches_plainly(self, instance):
         (solver,) = resolve_solvers("lp.4")
@@ -194,11 +195,14 @@ class TestPipelinedBatches:
         assert result.schedule.makespan == 0.0
         assert len(result.trace) == 0
 
-    def test_barrier_equals_legacy_concatenation(self, instance):
-        (solver,) = resolve_solvers("OS")
-        legacy = execute_in_batches(instance, solver.schedule, batch_size=2)
-        kernel = simulate_in_batches(instance, solver, batch_size=2).schedule
-        assert kernel == legacy
+    def test_barrier_equals_legacy_concatenation(self, instance, os_solver):
+        entries, offset = [], 0.0
+        for batch in instance.batches(2):
+            schedule = os_solver.schedule(batch)
+            entries.extend(schedule.shifted(offset).entries)
+            offset += schedule.makespan
+        kernel = simulate_in_batches(instance, os_solver, batch_size=2).schedule
+        assert kernel == Schedule(entries)
 
 
 class TestBatchNaming:
@@ -221,13 +225,17 @@ class TestScheduleOnlySolvers:
             category = "static"
 
             def schedule(self, sub_instance):
-                return execute_fixed_order(sub_instance)
+                return submission_order(sub_instance)
 
         result = simulate_in_batches(instance, ScheduleOnly(), batch_size=2)
         assert validate_schedule(result.schedule, instance).is_feasible
-        expected = execute_in_batches(instance, execute_fixed_order, batch_size=2)
+        (os_solver,) = resolve_solvers("OS")
+        expected = simulate_in_batches(instance, os_solver, batch_size=2).schedule
         assert result.schedule == expected
-        with pytest.raises(ValueError, match="'SO'"):
-            simulate_in_batches(
-                instance, ScheduleOnly(), batch_size=2, machine=MachineModel(link_count=2)
-            )
+        for option in (
+            dict(machine=MachineModel(link_count=2)),
+            dict(record=True),
+            dict(engine="columnar"),
+        ):
+            with pytest.raises(ValueError, match="'SO' does not run on the simulation kernel"):
+                simulate_in_batches(instance, ScheduleOnly(), batch_size=2, **option)

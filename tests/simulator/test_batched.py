@@ -26,7 +26,7 @@ from repro.simulator import (
     FixedOrderPolicy,
     InfeasibleOrderError,
     MachineModel,
-    batched_supported,
+    plan_engine,
     simulate,
     simulate_batched,
     simulate_batched_outcomes,
@@ -174,7 +174,7 @@ def test_single_run_engine_batched_is_a_one_lane_plane():
     ]
     instance = Instance(tasks, capacity=max(t.memory for t in tasks) * 1.2)
     policy = FixedOrderPolicy(instance.tasks)
-    assert batched_supported(instance, policy)
+    assert plan_engine(instance, policy, engine="batched")[0] == "batched"
     batched = simulate(instance, policy, engine="batched")
     columnar = simulate(instance, policy, engine="columnar")
     assert batched.engine == "batched"
@@ -187,7 +187,8 @@ def test_unsupported_configurations_fall_back_per_lane():
     policy = FixedOrderPolicy(instance.tasks)
     # Multi-link machines run per-instance; engine="batched" must still work.
     machine = MachineModel(link_count=2)
-    assert not batched_supported(instance, policy, machine=machine)
+    ran, reason = plan_engine(instance, policy, engine="batched", machine=machine)
+    assert ran == "columnar" and "multi-link" in reason
     result = simulate(instance, policy, engine="batched", machine=machine)
     reference = simulate(instance, policy, engine="object", machine=machine)
     assert result.schedule == reference.schedule

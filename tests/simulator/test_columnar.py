@@ -4,8 +4,8 @@ The bit-for-bit schedule equivalence itself is property-tested in
 :mod:`test_columnar_crosscheck`; this module covers the machinery around
 the scans — the packed :class:`ColumnarInstance` view and its caching, the
 lazily materialised :class:`ColumnarSchedule`, the vectorized heuristic
-orders, engine resolution (including the ``REPRO_ENGINE`` override), the
-support matrix, facade dispatch (``solve``/``Study``/CLI/``SweepJob``) and
+orders, the engine plan (request normalisation, the ``REPRO_ENGINE``
+override, thresholds and the support matrix), facade dispatch (``solve``/``Study``/CLI/``SweepJob``) and
 the ``engine`` result column.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -31,17 +32,18 @@ from repro.heuristics.static import (
 from repro.simulator import (
     COLUMNAR_AUTO_THRESHOLD,
     ColumnarSchedule,
+    CorrectedOrderPolicy,
     CriterionPolicy,
     FixedOrderPolicy,
     MachineModel,
     columnar_johnson_order,
     columnar_key_order,
-    columnar_supported,
     columnar_view,
-    resolve_engine,
+    largest_communication,
+    maximum_acceleration,
+    plan_engine,
     simulate,
     simulate_columnar,
-    unsupported_reason,
 )
 from repro.simulator.columnar import ENGINE_ENV_VAR
 from repro.traces.generator import synthetic_trace
@@ -102,6 +104,13 @@ class TestColumnarView:
         instance = make_instance(8)
         view = columnar_view(instance)
         assert view.index["t00003"] == 3
+
+    def test_acceleration_of_a_subnormal_transfer_is_inf_without_a_warning(self):
+        tasks = [Task("a", 5e-324, 2.0), Task("b", 1.0, 1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acceleration = columnar_view(Instance(tasks, capacity=10.0)).acceleration
+        assert acceleration.tolist() == [tasks[0].acceleration, 1.0] == [math.inf, 1.0]
 
 
 # --------------------------------------------------------------------------- #
@@ -226,73 +235,171 @@ class TestVectorizedOrders:
 
 
 # --------------------------------------------------------------------------- #
-# Engine resolution
+# The engine plan
 # --------------------------------------------------------------------------- #
+class _ForeignPolicy(FixedOrderPolicy):
+    """A fixed order the fast paths do not recognise (only exact types batch)."""
+
+
+def _policy(kind: str, instance: Instance):
+    if kind == "fixed":
+        return FixedOrderPolicy(instance.tasks)
+    if kind == "criterion":
+        return CriterionPolicy(largest_communication)
+    if kind == "corrected":
+        return CorrectedOrderPolicy(order=instance.task_names, criterion=maximum_acceleration)
+    if kind == "foreign":
+        return _ForeignPolicy(instance.tasks)
+    assert kind == "odd-criterion"
+    return CriterionPolicy(criterion=lambda task: (task.comm, task.name), name="odd")
+
+
+_MACHINES = {
+    "paper": None,
+    "2-link": MachineModel(link_count=2),
+    "2-cpu": MachineModel(cpu_count=2),
+}
+
+_BELOW_TASKS = "fewer tasks than COLUMNAR_AUTO_THRESHOLD"
+_BELOW_LANES = "fewer lanes than BATCH_AUTO_THRESHOLD"
+
+#: request, REPRO_ENGINE, n, lanes, record, machine, policy -> engine, reason.
+_PLAN_TABLE = [
+    # auto: the task-count threshold, then the lane threshold
+    (None, "", 255, 16, False, "paper", "fixed", "object", _BELOW_TASKS),
+    ("auto", "", 255, 16, True, "paper", "fixed", "object", _BELOW_TASKS),
+    ("auto", "", 256, 15, False, "paper", "fixed", "columnar", _BELOW_LANES),
+    (None, "", 256, 15, False, "paper", "criterion", "columnar", _BELOW_LANES),
+    ("auto", "", 256, 16, False, "paper", "fixed", "batched", "at least BATCH_AUTO_THRESHOLD"),
+    ("AUTO", "", 256, 16, False, "paper", "corrected", "columnar", "only fixed-order"),
+    (None, "", 256, 16, False, "2-link", "fixed", "columnar", "multi-link"),
+    ("auto", "", 256, 16, False, "2-cpu", "fixed", "object", "multi-CPU"),
+    ("auto", "", 256, 16, True, "paper", "fixed", "object", "recording"),
+    ("auto", "", 256, 15, False, "paper", "foreign", "object", "'_ForeignPolicy'"),
+    ("auto", "", 256, 15, False, "paper", "odd-criterion", "object", "no packed key"),
+    # explicit requests ignore the thresholds
+    ("object", "", 256, 16, False, "paper", "fixed", "object", "object engine requested"),
+    ("columnar", "", 255, 15, False, "paper", "fixed", "columnar", "columnar engine requested"),
+    ("columnar", "", 256, 16, False, "paper", "fixed", "columnar", "columnar engine requested"),
+    ("columnar", "", 255, 15, False, "2-link", "criterion", "columnar", "columnar engine requested"),
+    ("columnar", "", 255, 15, True, "paper", "fixed", "object", "recording"),
+    ("columnar", "", 255, 15, False, "2-cpu", "criterion", "object", "multi-CPU"),
+    ("columnar", "", 255, 15, False, "paper", "foreign", "object", "only implemented by the object kernel"),
+    ("columnar", "", 255, 15, False, "paper", "odd-criterion", "object", "no packed key"),
+    ("batched", "", 255, 1, False, "paper", "fixed", "batched", "batched engine requested"),
+    ("batched", "", 256, 16, False, "2-link", "fixed", "columnar", "multi-link"),
+    ("batched", "", 255, 15, False, "paper", "corrected", "columnar", "only fixed-order"),
+    ("batched", "", 255, 15, True, "paper", "fixed", "object", "recording"),
+    ("batched", "", 256, 16, False, "2-cpu", "fixed", "object", "multi-CPU"),
+    # REPRO_ENGINE overrides auto only
+    (None, "columnar", 255, 15, False, "paper", "fixed", "columnar", "columnar engine requested"),
+    ("auto", "columnar", 256, 16, False, "paper", "fixed", "columnar", "columnar engine requested"),
+    ("auto", "columnar", 256, 16, True, "paper", "fixed", "object", "recording"),
+    ("auto", "batched", 255, 15, False, "paper", "fixed", "batched", "batched engine requested"),
+    (None, "batched", 255, 15, False, "paper", "criterion", "columnar", "only fixed-order"),
+    (None, "batched", 255, 15, False, "2-cpu", "fixed", "object", "multi-CPU"),
+    (None, "object", 256, 16, False, "paper", "fixed", "object", "object engine requested"),
+    ("object", "columnar", 256, 16, False, "paper", "fixed", "object", "object engine requested"),
+    ("columnar", "batched", 256, 16, False, "paper", "fixed", "columnar", "columnar engine requested"),
+]
+
+
+@pytest.mark.parametrize(
+    "request_, env, n, lanes, record, machine, kind, engine, reason", _PLAN_TABLE
+)
+def test_plan_engine_decision_table(
+    monkeypatch, request_, env, n, lanes, record, machine, kind, engine, reason
+):
+    if env:
+        monkeypatch.setenv(ENGINE_ENV_VAR, env)
+    instance = make_instance(n, capacity=8.0)
+    planned, why = plan_engine(
+        instance,
+        _policy(kind, instance),
+        engine=request_,
+        machine=_MACHINES[machine],
+        record=record,
+        lanes=lanes,
+    )
+    assert planned == engine, why
+    assert reason in why
+    if reason in (_BELOW_TASKS, "object engine requested"):
+        # Decided on the request and task count alone: no columnar view is
+        # packed, which keeps small auto rows as cheap as the object kernel.
+        assert columnar_view(instance, build=False) is None
+
+
 class TestResolveEngine:
-    def test_none_means_auto(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        assert resolve_engine(None) == "auto"
-        assert resolve_engine("AUTO") == "auto"
-        assert resolve_engine("object") == "object"
-        assert resolve_engine("columnar") == "columnar"
+    """The request normalisation inside :func:`plan_engine`."""
 
-    def test_environment_overrides_auto_only(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "columnar")
-        assert resolve_engine(None) == "columnar"
-        assert resolve_engine("auto") == "columnar"
-        assert resolve_engine("object") == "object"  # explicit choice wins
-
-    def test_unknown_engine_raises(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine("bogus")
-
-
-# --------------------------------------------------------------------------- #
-# Support matrix
-# --------------------------------------------------------------------------- #
-class TestSupportMatrix:
     def setup_method(self):
         self.instance = make_instance(12, capacity=8.0)
         self.policy = FixedOrderPolicy(self.instance.tasks)
 
+    def plan(self, engine):
+        return plan_engine(self.instance, self.policy, engine=engine)[0]
+
+    def test_none_means_auto(self, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        assert self.plan(None) == self.plan("AUTO") == "object"  # below the threshold
+        assert self.plan("object") == "object"
+        assert self.plan("columnar") == "columnar"
+
+    def test_environment_overrides_auto_only(self, monkeypatch):
+        monkeypatch.setenv(ENGINE_ENV_VAR, "columnar")
+        assert self.plan(None) == "columnar"
+        assert self.plan("auto") == "columnar"
+        assert self.plan("object") == "object"  # explicit choice wins
+
+    def test_unknown_engine_raises(self, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+            self.plan("bogus")
+
+
+class TestSupportMatrix:
+    """What a forced ``engine="columnar"`` request runs, and why."""
+
+    def setup_method(self):
+        self.instance = make_instance(12, capacity=8.0)
+        self.policy = FixedOrderPolicy(self.instance.tasks)
+
+    def plan(self, instance=None, policy=None, **options):
+        return plan_engine(
+            self.instance if instance is None else instance,
+            self.policy if policy is None else policy,
+            engine="columnar",
+            **options,
+        )
+
     def test_plain_fixed_order_is_supported(self):
-        assert unsupported_reason(self.instance, self.policy) is None
-        assert columnar_supported(self.instance, self.policy)
+        assert self.plan() == ("columnar", "columnar engine requested")
 
     def test_recording_declines(self):
-        assert "recording" in unsupported_reason(self.instance, self.policy, record=True)
+        assert "recording" in self.plan(record=True)[1]
 
     def test_multi_cpu_declines(self):
-        reason = unsupported_reason(
-            self.instance, self.policy, machine=MachineModel(cpu_count=2)
-        )
-        assert "multi-CPU" in reason
+        assert "multi-CPU" in self.plan(machine=MachineModel(cpu_count=2))[1]
 
     def test_multi_link_is_supported(self):
-        assert columnar_supported(self.instance, self.policy, machine=MachineModel(link_count=3))
+        assert self.plan(machine=MachineModel(link_count=3))[0] == "columnar"
 
     def test_release_dates_decline(self):
         dated = Instance(
             [Task("a", 1, 1, release=5.0), Task("b", 1, 1)], capacity=math.inf
         )
-        assert "release" in unsupported_reason(dated, FixedOrderPolicy(dated.tasks))
+        assert "release" in self.plan(dated, FixedOrderPolicy(dated.tasks))[1]
 
     def test_foreign_policy_declines(self):
-        class OddPolicy(FixedOrderPolicy):
-            pass
-
-        reason = unsupported_reason(self.instance, OddPolicy(self.instance.tasks))
+        reason = self.plan(policy=_ForeignPolicy(self.instance.tasks))[1]
         assert "only implemented by the object kernel" in reason
 
     def test_unknown_criterion_declines(self):
-        policy = CriterionPolicy(criterion=lambda state, c: c[0], name="odd")
-        assert "no packed key" in unsupported_reason(self.instance, policy)
+        assert "no packed key" in self.plan(policy=_policy("odd-criterion", self.instance))[1]
 
     def test_comp_order_needs_a_fixed_order_policy(self):
-        policy = CriterionPolicy(criterion=lambda s, c: c[0], name="x")
         names = list(self.instance.task_names)
-        reason = unsupported_reason(self.instance, policy, comp_order=names)
+        reason = self.plan(policy=_policy("criterion", self.instance), comp_order=names)[1]
         assert "comp_order" in reason
 
     def test_simulate_columnar_refuses_unsupported_configs(self):
@@ -311,6 +418,7 @@ class TestEngineDispatch:
     def test_auto_keeps_the_object_kernel_for_small_instances(self):
         small = make_instance(10)
         assert simulate(small, FixedOrderPolicy(small.tasks)).engine == "object"
+        assert columnar_view(small, build=False) is None  # nothing was packed
 
     def test_forced_columnar_runs_below_the_threshold(self):
         small = make_instance(10)

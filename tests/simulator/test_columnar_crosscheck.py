@@ -27,9 +27,9 @@ from repro.simulator import (
     FixedOrderPolicy,
     InfeasibleOrderError,
     MachineModel,
-    columnar_supported,
     largest_communication,
     maximum_acceleration,
+    plan_engine,
     simulate,
     simulate_columnar,
     smallest_communication,
@@ -132,6 +132,11 @@ def columnar_schedule(instance, policy, machine=None, comp_order=None):
     ).schedule
 
 
+def columnar_runs(instance, policy, **options):
+    """Whether the engine plan puts a forced columnar request on columnar."""
+    return plan_engine(instance, policy, engine="columnar", **options)[0] == "columnar"
+
+
 def seed_schedule(instance, policy):
     """Schedule via the frozen seed executor matching ``policy``'s mode."""
     if type(policy) is FixedOrderPolicy:
@@ -154,7 +159,7 @@ def test_columnar_matches_object_kernel_on_random_instances():
         instance = random_instance(rng, index)
         for machine in machines:
             for policy in policies_for(instance, rng):
-                if not columnar_supported(instance, policy, machine=machine):
+                if not columnar_runs(instance, policy, machine=machine):
                     continue
                 configs += 1
                 obj = outcome(object_schedule, instance, policy, machine=machine)
@@ -186,7 +191,7 @@ def test_columnar_matches_the_frozen_seed_executors():
             ),
         ]
         for policy in policies:
-            if not columnar_supported(instance, policy):
+            if not columnar_runs(instance, policy):
                 continue
             seed = outcome(seed_schedule, instance, policy)
             col = outcome(columnar_schedule, instance, policy)
@@ -207,7 +212,7 @@ def test_two_order_variant_matches_kernel_and_seed():
         comm_order = list(rng.permutation(names))
         comp_order = list(rng.permutation(names))
         policy = FixedOrderPolicy(tuple(tasks[names.index(nm)] for nm in comm_order))
-        if not columnar_supported(instance, policy, comp_order=comp_order):
+        if not columnar_runs(instance, policy, comp_order=comp_order):
             continue
         obj = outcome(object_schedule, instance, policy, comp_order=comp_order)
         col = outcome(columnar_schedule, instance, policy, comp_order=comp_order)
@@ -244,7 +249,7 @@ def test_large_instances_cross_the_dispatch_threshold_identically():
         FixedOrderPolicy(instance.tasks),
         CriterionPolicy(criterion=maximum_acceleration, name="MAMR"),
     ):
-        if not columnar_supported(instance, policy):
+        if not columnar_runs(instance, policy):
             continue
         auto = simulate(instance, policy)
         obj = simulate(instance, policy, engine="object")

@@ -12,8 +12,6 @@ from repro.simulator import (
     MachineModel,
     ParallelResource,
     UnitResource,
-    execute_fixed_order,
-    execute_with_policy,
     largest_communication,
     simulate,
     smallest_communication,
@@ -41,30 +39,31 @@ class TestPolicyReuse:
         policy = CorrectedOrderPolicy(
             order=("B", "C", "D", "E", "A"), criterion=largest_communication
         )
-        first = execute_with_policy(table5_instance, policy)
-        second = execute_with_policy(table5_instance, policy)
-        fresh = execute_with_policy(
+        first = simulate(table5_instance, policy).schedule
+        second = simulate(table5_instance, policy).schedule
+        fresh = simulate(
             table5_instance,
             CorrectedOrderPolicy(order=("B", "C", "D", "E", "A"), criterion=largest_communication),
-        )
+        ).schedule
         assert first == fresh
         assert second == fresh
 
     def test_corrected_policy_reusable_across_instances(self, table5_instance, table4_instance):
         policy = CorrectedOrderPolicy(order=("B", "A", "C", "D"), criterion=smallest_communication)
-        execute_with_policy(table4_instance, policy)  # consume a first run
-        rerun = execute_with_policy(table4_instance, policy)
-        fresh = execute_with_policy(
+        simulate(table4_instance, policy)  # consume a first run
+        rerun = simulate(table4_instance, policy).schedule
+        fresh = simulate(
             table4_instance,
             CorrectedOrderPolicy(order=("B", "A", "C", "D"), criterion=smallest_communication),
-        )
+        ).schedule
         assert rerun == fresh
 
     def test_fixed_order_policy_reusable(self, table3_instance):
         policy = FixedOrderPolicy(tuple(table3_instance.tasks))
         first = simulate(table3_instance, policy).schedule
         second = simulate(table3_instance, policy).schedule
-        assert first == second == execute_fixed_order(table3_instance)
+        fresh = simulate(table3_instance, FixedOrderPolicy(table3_instance.tasks)).schedule
+        assert first == second == fresh
 
 
 class TestEventTrace:

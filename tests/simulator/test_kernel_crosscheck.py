@@ -5,8 +5,8 @@ task counts, workload mixes and capacity factors): every registered paper
 heuristic plus GGX must produce *exactly* the same schedule through the
 unified kernel as through the frozen seed implementations kept in
 :mod:`repro.simulator._reference` — float-equal start times, same entry
-order.  The two-order executor is cross-checked on random order pairs,
-including deadlocking ones.
+order.  Two-order runs (``comp_order``) are cross-checked on random order
+pairs, including deadlocking ones.
 """
 
 from __future__ import annotations
@@ -22,7 +22,13 @@ from repro.heuristics.baselines import ExactNoWait
 from repro.heuristics.corrected import CorrectedHeuristic
 from repro.heuristics.dynamic import DynamicHeuristic
 from repro.heuristics.static import StaticOrderHeuristic
-from repro.simulator import CriterionPolicy, execute_two_orders
+from repro.simulator import (
+    CriterionPolicy,
+    DeadlockError,
+    FixedOrderPolicy,
+    resolve_order,
+    simulate,
+)
 from repro.simulator._reference import (
     ReferenceCorrectedOrderPolicy,
     reference_execute_fixed_order,
@@ -123,7 +129,11 @@ def test_two_order_kernel_matches_seed_on_random_order_pairs():
         comm_order = list(rng.permutation(names))
         comp_order = list(rng.permutation(names))
         expected = reference_execute_two_orders(instance, comm_order, comp_order)
-        actual = execute_two_orders(instance, comm_order, comp_order)
+        policy = FixedOrderPolicy(tuple(resolve_order(instance, comm_order)))
+        try:
+            actual = simulate(instance, policy, comp_order=comp_order).schedule
+        except DeadlockError:  # the seed executor reports a blocked run as None
+            actual = None
         if expected is None:
             checked_deadlocks += 1
             assert actual is None, f"kernel missed a deadlock on {instance.name}"
