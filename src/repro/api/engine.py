@@ -134,12 +134,12 @@ def run_solvers_on_instance(
     (``pipelined=True`` drops the drain barrier between windows); instances
     whose tasks carry release dates run on the streaming runtime and fill
     the online measurement columns.  ``machine`` selects a custom machine
-    model (kernel-backed solvers only).  Kernel-backed solvers run with
-    event recording on, so the metrics are read from the structured trace
-    instead of re-derived from the schedule — unless ``engine`` requests
-    an array-native fast path (``"auto"``/``"columnar"``/``"batched"``),
-    which does not record events: recording is dropped there so the fast
-    path can engage, and the metrics are derived from the schedule instead.
+    model (kernel-backed solvers only).  ``engine`` is the kernel engine
+    request (``None`` means ``"auto"``, which
+    :func:`~repro.simulator.columnar.plan_engine` resolves per run); no
+    events are recorded, since each row's metrics come from one interval
+    sweep over its schedule, and a feasible array-engine schedule is
+    validated and measured on its columns without building row objects.
 
     ``precomputed`` maps solver indices to simulation outcomes computed
     ahead of this call (the sweep's cross-instance batch plane); captured
@@ -149,29 +149,14 @@ def run_solvers_on_instance(
     reference = omim_makespan(instance) if reference is None else reference
     application = application or instance.name.split("/")[0] or ADHOC_APPLICATION
     online = instance.has_releases
-    # Recording pins a run to the object kernel, so it is on only when the
-    # normalised request leaves the object kernel in charge: an explicit
-    # "object", or the default (no engine=) unless REPRO_ENGINE forces a
-    # fast engine.  An explicit fast-path request drops recording.
-    requested = _normalise_engine(engine)
-    wants_object = requested == "object" or (engine is None and requested == "auto")
+    _normalise_engine(engine)  # unknown names fail before any solver runs
     traced = obs.is_enabled()
     records = []
     for index, solver in enumerate(solvers):
-        trace = None
-        ran_engine = ""
-        stats = None
-        runs_on_kernel = bool(getattr(solver, "runs_on_kernel", False))
-        record = runs_on_kernel and wants_object
-        outcome_ready = precomputed.get(index) if precomputed is not None else None
-        if outcome_ready is not None:
-            if isinstance(outcome_ready, BaseException):
-                raise outcome_ready
-            result = outcome_ready
-            schedule, trace = result.schedule, result.trace
-            ran_engine = getattr(result, "engine", "")
-            stats = getattr(result, "stats", None)
-        elif batch_size is not None:
+        result = precomputed.get(index) if precomputed is not None else None
+        if isinstance(result, BaseException):
+            raise result
+        if result is None and batch_size is not None:
             with obs.span("solver.run", solver=solver.name) if traced else obs.NOOP_SPAN:
                 result = simulate_in_batches(
                     instance,
@@ -179,31 +164,19 @@ def run_solvers_on_instance(
                     batch_size=batch_size,
                     pipelined=pipelined,
                     machine=machine,
-                    record=record,
                     engine=engine,
                 )
-            schedule, trace = result.schedule, result.trace
-            ran_engine = getattr(result, "engine", "")
-            stats = getattr(result, "stats", None)
-        elif hasattr(solver, "simulate"):
+        elif result is None and hasattr(solver, "simulate"):
             with obs.span("solver.run", solver=solver.name) if traced else obs.NOOP_SPAN:
-                result = solver.simulate(
-                    instance, machine=machine, record=record, engine=engine
-                )
-            schedule, trace = result.schedule, result.trace
-            ran_engine = getattr(result, "engine", "")
-            stats = getattr(result, "stats", None)
-        else:
-            if machine is not None:
-                raise ValueError(
-                    f"solver {solver.name!r} does not run on the simulation kernel"
-                )
-            schedule = solver.schedule(instance)
+                result = solver.simulate(instance, machine=machine, engine=engine)
+        elif result is None and machine is not None:
+            raise ValueError(f"solver {solver.name!r} does not run on the simulation kernel")
+        schedule = solver.schedule(instance) if result is None else result.schedule
+        ran_engine = getattr(result, "engine", "")
+        stats = getattr(result, "stats", None)
         if validate:
             check_schedule(schedule, instance, machine=machine)
-        metrics = evaluate(
-            schedule, instance, heuristic=solver.name, reference=reference, trace=trace
-        )
+        metrics = evaluate(schedule, instance, heuristic=solver.name, reference=reference)
         online_metrics = evaluate_online(schedule) if online else None
         # Batched execution runs the solver once per window, so last_outcome
         # only describes the final batch — leave the attribution columns

@@ -218,10 +218,8 @@ class Study:
         unsupported); ``"batched"`` requests the cross-instance plane
         (lanes that cannot batch fall back per instance); ``"object"``
         forces the event kernel.  The engine each run actually used is
-        recorded in the ``engine`` result column.  Note the trade-off: the
-        default (never calling this) records structured event traces for
-        kernel solvers, while ``"auto"``/``"columnar"``/``"batched"``
-        sweeps skip event recording so the fast paths can engage.
+        recorded in the ``engine`` result column.  Never calling this is
+        the same as ``"auto"``.
         """
         from ..simulator.columnar import _normalise_engine
 

@@ -59,10 +59,8 @@ def idle_fractions(schedule: Schedule) -> tuple[float, float]:
     makespan = schedule.makespan
     if makespan == 0:
         return (0.0, 0.0)
-    return (
-        schedule.communication_idle_time() / makespan,
-        schedule.computation_idle_time() / makespan,
-    )
+    sweep = schedule.interval_sweep()
+    return (sweep.communication_idle / makespan, sweep.computation_idle / makespan)
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,23 +163,14 @@ def evaluate(
 ) -> ScheduleMetrics:
     """Bundle every metric for one (heuristic, instance) run.
 
-    When the kernel's structured event ``trace`` is available, the overlap,
-    idle and peak-memory accounting is read from it directly (O(n log n))
-    instead of being re-derived from the finished schedule (the
-    schedule-based overlap computation is quadratic in the task count).
+    The overlap, idle and peak-memory accounting comes from one O(n log n)
+    interval sweep (:func:`~repro.core.schedule.sweep_intervals`) over the
+    kernel's structured event ``trace`` when one is given, else over the
+    schedule's placements; both give bit-identical metrics.
     """
     ref = _omim(instance) if reference is None else reference
     makespan = schedule.makespan
-    if trace is not None:
-        peak_memory = trace.peak_memory()
-        overlap_time = trace.overlap_time()
-        communication_idle = trace.idle_time("communication")
-        computation_idle = trace.idle_time("computation")
-    else:
-        peak_memory = schedule.peak_memory()
-        overlap_time = schedule.overlap_time()
-        communication_idle = schedule.communication_idle_time()
-        computation_idle = schedule.computation_idle_time()
+    sweep = (schedule if trace is None else trace).interval_sweep()
     return ScheduleMetrics(
         heuristic=heuristic,
         instance=instance.name,
@@ -189,9 +178,9 @@ def evaluate(
         makespan=makespan,
         omim=ref,
         ratio_to_optimal=(makespan / ref) if ref > 0 else (1.0 if makespan == 0 else math.inf),
-        peak_memory=peak_memory,
-        overlap_time=overlap_time,
-        communication_idle=communication_idle,
-        computation_idle=computation_idle,
+        peak_memory=sweep.peak_memory,
+        overlap_time=sweep.overlap_time,
+        communication_idle=sweep.communication_idle,
+        computation_idle=sweep.computation_idle,
         task_count=len(schedule),
     )

@@ -11,7 +11,11 @@ A schedule is feasible for an instance with capacity ``C`` when
 6. no task starts its transfer before its release (arrival) date.
 
 The checks report *all* violations (not just the first) so tests and the
-experiment harness can produce actionable diagnostics.
+experiment harness can produce actionable diagnostics.  :func:`check_schedule`
+first tries a column-level certificate of the same rules on schedules drawn
+from the instance's own packed task tuple (the array engines' schedules), so
+a feasible run is accepted without building row objects; anything the
+certificate cannot certify gets the full report.
 """
 
 from __future__ import annotations
@@ -20,8 +24,10 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from .instance import Instance
-from .schedule import Schedule, ScheduledTask
+from .schedule import Schedule, ScheduleColumns, ScheduledTask, memory_steps
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (core must not import simulator)
     from ..simulator.resources import MachineModel
@@ -145,6 +151,16 @@ def _check_resource_concurrency(
             over = False
 
 
+def _effective_machine(
+    instance: Instance, machine: "MachineModel | None"
+) -> tuple[int, int, float]:
+    """``(link count, cpu count, capacity)`` the rules are checked against."""
+    if machine is None:
+        return 1, 1, instance.capacity
+    capacity = instance.capacity if machine.capacity is None else machine.capacity
+    return machine.link_count, machine.cpu_count, capacity
+
+
 def validate_schedule(
     schedule: Schedule,
     instance: Instance,
@@ -208,8 +224,7 @@ def validate_schedule(
                 time=entry.comm_start,
             )
 
-    link_count = 1 if machine is None else machine.link_count
-    cpu_count = 1 if machine is None else machine.cpu_count
+    link_count, cpu_count, capacity = _effective_machine(instance, machine)
     if link_count == 1:
         _check_resource_exclusivity(report, schedule.entries, "communication")
     else:
@@ -219,29 +234,28 @@ def validate_schedule(
     else:
         _check_resource_concurrency(report, schedule.entries, "computation", cpu_count)
 
-    capacity = instance.capacity
-    if machine is not None and machine.capacity is not None:
-        capacity = machine.capacity
-    if math.isfinite(capacity):
-        # Absolute tolerance for small (unit-free) instances, relative tolerance
-        # for byte-sized capacities where float accumulation noise is larger.
-        memory_tolerance = max(TOLERANCE, 1e-9 * capacity)
-        for event in schedule.memory_profile():
-            if event.usage > capacity + memory_tolerance:
-                active = sorted(
-                    e.name
-                    for e in schedule
-                    if e.comm_start <= event.time < e.comp_end
-                )
-                report.add(
-                    "memory",
-                    f"memory usage {event.usage:g} exceeds capacity {capacity:g} "
-                    f"at time {event.time:g} (active: {active})",
-                    tasks=active,
-                    time=event.time,
-                )
+    for time, usage in _memory_overruns(schedule.columns(), capacity):
+        active = sorted(e.name for e in schedule if e.comm_start <= time < e.comp_end)
+        report.add(
+            "memory",
+            f"memory usage {usage:g} exceeds capacity {capacity:g} "
+            f"at time {time:g} (active: {active})",
+            tasks=active,
+            time=time,
+        )
 
     return report
+
+
+def _memory_overruns(columns: ScheduleColumns, capacity: float) -> list[tuple[float, float]]:
+    """``(time, usage)`` of every memory-profile step above ``capacity``."""
+    if not math.isfinite(capacity):
+        return []
+    instants, usage = memory_steps(*columns.memory_events())
+    # Absolute tolerance for small (unit-free) instances, relative tolerance
+    # for byte-sized capacities where float accumulation noise is larger.
+    over = usage > capacity + max(TOLERANCE, 1e-9 * capacity)
+    return list(zip(instants[over].tolist(), usage[over].tolist()))
 
 
 def check_schedule(
@@ -250,8 +264,63 @@ def check_schedule(
     *,
     machine: "MachineModel | None" = None,
 ) -> Schedule:
-    """Validate and return ``schedule``; raise :class:`InfeasibleScheduleError` otherwise."""
+    """Validate and return ``schedule``; raise :class:`InfeasibleScheduleError` otherwise.
+
+    A schedule the column-level certificate accepts is returned at once;
+    every other one gets :func:`validate_schedule`'s full report, so the
+    verdict and the error are the same as without the certificate.
+    """
+    if _certified(schedule, instance, machine):
+        return schedule
     report = validate_schedule(schedule, instance, machine=machine)
     if not report.is_feasible:
         raise InfeasibleScheduleError(report)
     return schedule
+
+
+def _certified(
+    schedule: Schedule, instance: Instance, machine: "MachineModel | None"
+) -> bool:
+    """Whether the rules hold, checked on numpy columns without row objects.
+
+    Applies only to a schedule drawn from ``instance``'s own task tuple, so
+    rule 1 reduces to its index column being a permutation.  Each other
+    test is the float expression :func:`validate_schedule` evaluates, over
+    the same values: precedence and release per task; one resource server
+    as consecutive pairs of ``(start, end)``-sorted intervals, several as a
+    running count of starts and ends; memory on the very profile steps the
+    report reads.  ``False`` decides nothing: the caller builds the report.
+    """
+    if schedule.source_tasks is not instance.tasks:
+        return False
+    columns = schedule.columns()
+    n = len(instance.tasks)
+    index = columns.index
+    if len(index) != n or not np.array_equal(np.sort(index), np.arange(n)):
+        return False
+    if np.isnan(columns.comm + columns.comp + columns.memory).any():
+        return False  # NaN characteristics never compare equal: a task mismatch
+    if (columns.comp_start + TOLERANCE < columns.comm_end).any():
+        return False
+    if instance.has_releases:
+        release = np.array([t.release for t in instance.tasks], dtype=np.float64)[index]
+        if ((release > 0) & (columns.comm_start + TOLERANCE < release)).any():
+            return False
+    link_count, cpu_count, capacity = _effective_machine(instance, machine)
+    for starts, durations, ends, limit in (
+        (columns.comm_start, columns.comm, columns.comm_end, link_count),
+        (columns.comp_start, columns.comp, columns.comp_end, cpu_count),
+    ):
+        busy = durations > 0
+        starts, ends = starts[busy], ends[busy]
+        if limit == 1:
+            order = np.lexsort((ends, starts))
+            starts, ends = starts[order], ends[order]
+            if (starts[1:] < ends[:-1] - TOLERANCE).any():
+                return False
+        else:
+            times = np.concatenate((starts + TOLERANCE, ends))
+            steps = np.repeat([1, -1], [len(starts), len(ends)])
+            if (np.cumsum(steps[np.lexsort((steps, times))]) > limit).any():
+                return False
+    return not _memory_overruns(columns, capacity)

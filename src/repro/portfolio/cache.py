@@ -361,10 +361,9 @@ class CachedSolver(OutcomeMixin):
 
     @property
     def runs_on_kernel(self) -> bool:
-        # Deliberately False even for kernel-backed inners: the sweep engine
-        # turns on event recording for kernel solvers, and recorded runs
-        # cannot be served from the schedule store — reporting False keeps
-        # Study traffic on the cacheable path.
+        # Deliberately False even for kernel-backed inners: recorded runs
+        # cannot be served from the schedule store, so the cached solver
+        # does not advertise the kernel's event recording.
         return False
 
     def key(self, instance: Instance, machine: MachineModel | None = None) -> str:

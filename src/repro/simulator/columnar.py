@@ -69,7 +69,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.instance import Instance
-from ..core.schedule import Schedule, ScheduledTask
+from ..core.schedule import Schedule, ScheduleColumns, ScheduledTask
 from ..core.task import Task
 from ..core.validation import TOLERANCE
 from ..obs import spans as _obs
@@ -272,11 +272,14 @@ class ColumnarSchedule(Schedule):
     """A :class:`~repro.core.schedule.Schedule` backed by flat start-time
     arrays, materialising its :class:`ScheduledTask` rows only on demand.
 
-    Aggregates that reduce over whole columns (``makespan``, busy times) run
-    on the arrays; anything that needs row objects (``entries``, name
-    lookup, validation, equality against an eagerly-built schedule)
-    triggers a one-time materialisation that is transparent to callers —
-    a ``ColumnarSchedule`` compares equal to the object kernel's
+    Aggregates that reduce over whole columns (``makespan``, busy times,
+    and the interval sweep behind overlap, idle times and the memory
+    profile) run on the arrays, and so does
+    :func:`~repro.core.validation.check_schedule`'s feasibility
+    certificate; anything that needs row objects (``entries``, name
+    lookup, a validation report, equality against an eagerly-built
+    schedule) triggers a one-time materialisation that is transparent to
+    callers — a ``ColumnarSchedule`` compares equal to the object kernel's
     :class:`Schedule` with the same placements.
     """
 
@@ -288,7 +291,7 @@ class ColumnarSchedule(Schedule):
         placed: Sequence[int],
         comm_starts: Sequence[float],
         comp_starts: Sequence[float],
-        columns: tuple[np.ndarray, np.ndarray] | None = None,
+        columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> None:
         # Deliberately no super().__init__: _entries/_by_name stay unset and
         # are built by __getattr__ on first access.
@@ -351,12 +354,33 @@ class ColumnarSchedule(Schedule):
     def computation_busy_time(self) -> float:
         return float(self._view_columns()[1].sum())
 
-    def _view_columns(self) -> tuple[np.ndarray, np.ndarray]:
+    def columns(self) -> ScheduleColumns:
+        """The placement columns, gathered from the packed arrays (no rows)."""
+        index = np.asarray(self._placed, dtype=np.intp)
+        comm, comp, memory = (column[index] for column in self._view_columns())
+        comm_start = np.asarray(self._comm_starts, dtype=np.float64)[index]
+        comp_start = np.asarray(self._comp_starts, dtype=np.float64)[index]
+        return ScheduleColumns(
+            comm_start=comm_start,
+            comm=comm,
+            comm_end=comm_start + comm,
+            comp_start=comp_start,
+            comp=comp,
+            comp_end=comp_start + comp,
+            memory=memory,
+            index=index,
+        )
+
+    @property
+    def source_tasks(self) -> tuple[Task, ...]:
+        return self._tasks
+
+    def _view_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._columns is None:
             tasks = self._tasks
-            self._columns = (
-                np.array([t.comm for t in tasks], dtype=np.float64),
-                np.array([t.comp for t in tasks], dtype=np.float64),
+            self._columns = tuple(
+                np.array([getattr(t, field) for t in tasks], dtype=np.float64)
+                for field in ("comm", "comp", "memory")
             )
         return self._columns
 
@@ -369,7 +393,7 @@ def _columnar_schedule(
 ) -> ColumnarSchedule:
     # The already-packed columns back the aggregate reductions for free.
     return ColumnarSchedule(
-        view.tasks, placed, comm_starts, comp_starts, columns=(view.comm, view.comp)
+        view.tasks, placed, comm_starts, comp_starts, columns=(view.comm, view.comp, view.memory)
     )
 
 

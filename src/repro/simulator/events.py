@@ -2,11 +2,12 @@
 
 A :class:`EventTrace` is the kernel's journal of one run: transfer start/end,
 computation start/end and memory acquire/release events in time order.
-Downstream consumers — the Gantt renderer, the metrics module's idle/overlap
-accounting, the sweep engine — read the trace instead of re-deriving
-timelines from the finished :class:`~repro.core.schedule.Schedule` (the
-schedule-based overlap computation is quadratic; the trace keeps everything
-at O(n log n)).
+Downstream consumers — the Gantt renderer, the metrics module — read the
+trace's interval views.  Overlap, idle time and the memory profile come from
+the same interval sweep as a finished
+:class:`~repro.core.schedule.Schedule`'s
+(:func:`~repro.core.schedule.sweep_intervals`), so a run's trace and its
+schedule give bit-identical metrics.
 """
 
 from __future__ import annotations
@@ -16,7 +17,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from ..core.schedule import MemoryEvent
+import numpy as np
+
+from ..core.schedule import (
+    IntervalSweep,
+    MemoryEvent,
+    busy_union,
+    memory_steps,
+    sweep_intervals,
+)
 
 __all__ = ["EventKind", "SimEvent", "EventTrace"]
 
@@ -58,20 +67,6 @@ class SimEvent:
     kind: EventKind
     task: str
     amount: float = 0.0
-
-
-def _merge(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Merge overlapping/touching intervals (needed for parallel resources)."""
-    merged: list[tuple[float, float]] = []
-    for start, end in sorted(intervals):
-        if end <= start:
-            continue
-        if merged and start <= merged[-1][1]:
-            if end > merged[-1][1]:
-                merged[-1] = (merged[-1][0], end)
-        else:
-            merged.append((start, end))
-    return merged
 
 
 class EventTrace:
@@ -166,15 +161,42 @@ class EventTrace:
         """``(start, end, task)`` for every computation, in placement order."""
         return self._paired_intervals(EventKind.COMPUTE_START, EventKind.COMPUTE_END)
 
-    def busy_intervals(self, resource: str) -> list[tuple[float, float]]:
-        """Merged busy intervals of ``"communication"`` or ``"computation"``."""
+    def _resource_columns(self, resource: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, ends)`` of ``"communication"`` or ``"computation"``."""
         if resource == "communication":
             raw = self.transfer_intervals()
         elif resource == "computation":
             raw = self.compute_intervals()
         else:
             raise ValueError(f"unknown resource {resource!r}")
-        return _merge([(start, end) for start, end, _ in raw])
+        columns = np.array([(start, end) for start, end, _ in raw], dtype=np.float64)
+        columns = columns.reshape(-1, 2)
+        return columns[:, 0], columns[:, 1]
+
+    def _memory_events(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(times, deltas)`` of every memory acquire and release."""
+        events = np.array(
+            [
+                (event.time, event.amount)
+                for event in self._events
+                if event.kind in (EventKind.MEMORY_ACQUIRE, EventKind.MEMORY_RELEASE)
+            ],
+            dtype=np.float64,
+        ).reshape(-1, 2)
+        return events[:, 0], events[:, 1]
+
+    def interval_sweep(self) -> IntervalSweep:
+        """Overlap, idle times and peak memory from one interval sweep."""
+        return sweep_intervals(
+            *self._resource_columns("communication"),
+            *self._resource_columns("computation"),
+            *self._memory_events(),
+        )
+
+    def busy_intervals(self, resource: str) -> list[tuple[float, float]]:
+        """Merged busy intervals of ``"communication"`` or ``"computation"``."""
+        starts, ends = busy_union(*self._resource_columns(resource))
+        return list(zip(starts.tolist(), ends.tolist()))
 
     def idle_intervals(self, resource: str) -> list[tuple[float, float]]:
         """Idle gaps of one resource within ``[0, makespan]``."""
@@ -192,24 +214,13 @@ class EventTrace:
 
     def idle_time(self, resource: str) -> float:
         """Total idle time of one resource within ``[0, makespan]``."""
-        return sum(end - start for start, end in self.idle_intervals(resource))
+        if resource not in ("communication", "computation"):
+            raise ValueError(f"unknown resource {resource!r}")
+        return getattr(self.interval_sweep(), f"{resource}_idle")
 
     def overlap_time(self) -> float:
         """Total time during which the link and the processor are both busy."""
-        comm = self.busy_intervals("communication")
-        comp = self.busy_intervals("computation")
-        overlap = 0.0
-        i = j = 0
-        while i < len(comm) and j < len(comp):
-            lo = max(comm[i][0], comp[j][0])
-            hi = min(comm[i][1], comp[j][1])
-            if hi > lo:
-                overlap += hi - lo
-            if comm[i][1] <= comp[j][1]:
-                i += 1
-            else:
-                j += 1
-        return overlap
+        return self.interval_sweep().overlap_time
 
     # ------------------------------------------------------------------ #
     # Memory
@@ -218,18 +229,11 @@ class EventTrace:
         """Piecewise-constant memory occupation (same shape as
         :meth:`~repro.core.schedule.Schedule.memory_profile`)."""
         if self._memory_profile is None:
-            deltas: dict[float, float] = {}
-            for event in self._events:
-                if event.kind in (EventKind.MEMORY_ACQUIRE, EventKind.MEMORY_RELEASE):
-                    deltas[event.time] = deltas.get(event.time, 0.0) + event.amount
-            usage = 0.0
-            profile: list[MemoryEvent] = []
-            for time in sorted(deltas):
-                usage += deltas[time]
-                if -1e-9 < usage < 0:  # clamp tiny negative rounding residue
-                    usage = 0.0
-                profile.append(MemoryEvent(time=time, usage=usage))
-            self._memory_profile = profile
+            instants, usage = memory_steps(*self._memory_events())
+            self._memory_profile = [
+                MemoryEvent(time=time, usage=held)
+                for time, held in zip(instants.tolist(), usage.tolist())
+            ]
         return self._memory_profile
 
     def peak_memory(self) -> float:

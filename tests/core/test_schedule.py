@@ -1,5 +1,7 @@
 """Unit tests for schedules and their derived metrics."""
 
+import math
+
 import pytest
 
 from repro.core import Schedule, ScheduledTask, Task
@@ -91,6 +93,33 @@ class TestMetrics:
     def test_overlap_time(self, pipeline_schedule):
         # B's transfer [2, 5) overlaps A's computation [2, 6).
         assert pipeline_schedule.overlap_time() == pytest.approx(3.0)
+
+    def test_overlap_counts_segment_whose_midpoint_rounds_to_its_end(self):
+        # The only segment with both resources busy is [a, b), one ulp
+        # wide: its float midpoint rounds to b, outside the transfer.
+        a = math.nextafter(1.0, 2.0)
+        b = math.nextafter(a, 2.0)
+        schedule = Schedule(
+            [
+                entry("T", comm=b, comp=0.0, comm_start=0.0, comp_start=b),
+                entry("C", comm=0.0, comp=1.0, comm_start=a, comp_start=a),
+            ]
+        )
+        assert schedule.overlap_time() == b - a == 2.220446049250313e-16
+
+    def test_idle_time_is_never_negative_with_parallel_servers(self):
+        # Three transfers run at once on [0, 2): the link is busy 2 of the
+        # makespan's 5 time units, although the transfers add up to 6.
+        schedule = Schedule(
+            [
+                entry(name, comm=2, comp=1, comm_start=0, comp_start=start)
+                for name, start in (("A", 2), ("B", 3), ("C", 4))
+            ]
+        )
+        assert schedule.makespan == 5
+        assert schedule.communication_idle_time() == 3
+        assert schedule.computation_idle_time() == 2
+        assert schedule.overlap_time() == 0
 
     def test_memory_profile_and_peak(self, pipeline_schedule):
         profile = pipeline_schedule.memory_profile()

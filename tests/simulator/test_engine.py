@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core import Instance, Task, validate_schedule
+from repro import solve
+from repro.api import paper_lineup
+from repro.core import Instance, Task, evaluate, validate_schedule
 from repro.simulator import (
     CorrectedOrderPolicy,
     CriterionPolicy,
@@ -16,6 +18,7 @@ from repro.simulator import (
     simulate,
     smallest_communication,
 )
+from repro.traces.generator import synthetic_trace
 
 
 def _tasks(*specs):
@@ -74,14 +77,10 @@ class TestEventTrace:
         trace = result.trace
         assert trace is not None
         assert trace.makespan == result.schedule.makespan
-        assert trace.peak_memory() == pytest.approx(result.schedule.peak_memory())
-        assert trace.overlap_time() == pytest.approx(result.schedule.overlap_time())
-        assert trace.idle_time("communication") == pytest.approx(
-            result.schedule.communication_idle_time()
-        )
-        assert trace.idle_time("computation") == pytest.approx(
-            result.schedule.computation_idle_time()
-        )
+        assert trace.peak_memory() == result.schedule.peak_memory()
+        assert trace.overlap_time() == result.schedule.overlap_time()
+        assert trace.idle_time("communication") == result.schedule.communication_idle_time()
+        assert trace.idle_time("computation") == result.schedule.computation_idle_time()
         transfers = {name: (s, e) for s, e, name in trace.transfer_intervals()}
         for entry in result.schedule:
             assert transfers[entry.name] == (entry.comm_start, entry.comm_end)
@@ -120,6 +119,24 @@ class TestEventTrace:
         idle = trace.idle_time("computation")
         busy = sum(e - s for s, e in trace.busy_intervals("computation"))
         assert idle + busy == pytest.approx(trace.makespan)
+
+
+@pytest.mark.parametrize(
+    "machine",
+    [None, MachineModel(link_count=2), MachineModel(cpu_count=2)],
+    ids=["paper", "two-links", "two-cpus"],
+)
+@pytest.mark.parametrize("regime", ["balanced", "heterogeneous", "mixed-intensity"])
+def test_metrics_from_trace_equal_metrics_from_schedule(machine, regime):
+    """evaluate() gives the same answer, field for field, with or without the trace."""
+    for seed in (0, 1):
+        trace = synthetic_trace(regime, tasks=60, seed=seed)
+        for factor in (1.0, 1.25):
+            instance = trace.to_instance_with_factor(factor)
+            for solver in paper_lineup():
+                result = solver.simulate(instance, machine=machine, record=True)
+                from_trace = evaluate(result.schedule, instance, trace=result.trace)
+                assert from_trace == evaluate(result.schedule, instance), solver.name
 
 
 class TestMachineModels:
@@ -174,6 +191,32 @@ class TestMachineModels:
         # turn cannot start before B (transfers keep the given order).
         assert schedule["B"].comm_start == pytest.approx(6.0)
         assert schedule["C"].comm_start >= 6.0
+
+    def test_idle_time_counts_parallel_transfers_once(self):
+        # Transfers run pairwise on [0, 2) and [2, 4); computations on
+        # [2, 3) and [4, 5).  The link idles only over [4, 5], although the
+        # transfers add up to more than the makespan.
+        instance = Instance(_tasks(*((name, 2.0, 0.5, 1.0) for name in "ABCD")), capacity=10.0)
+        for record_events in (False, True):
+            metrics = solve(
+                instance, "OS", machine=MachineModel(link_count=2), record_events=record_events
+            ).metrics
+            assert metrics.makespan == 5.0
+            assert metrics.communication_idle == 1.0
+            assert metrics.computation_idle == 3.0
+            assert metrics.overlap_time == 1.0
+
+    def test_idle_time_counts_parallel_computations_once(self):
+        # Computations [1, 4), [2, 5), [4, 7), [5, 8) on two units: the
+        # units idle together only over [0, 1).
+        instance = Instance(_tasks(*((name, 1.0, 3.0, 1.0) for name in "ABCD")), capacity=10.0)
+        for record_events in (False, True):
+            metrics = solve(
+                instance, "OS", machine=MachineModel(cpu_count=2), record_events=record_events
+            ).metrics
+            assert metrics.makespan == 8.0
+            assert metrics.computation_idle == 1.0
+            assert metrics.communication_idle == 4.0
 
     def test_parallel_cpus(self):
         instance = Instance(_tasks(("A", 1.0, 6.0, 1.0), ("B", 1.0, 6.0, 1.0)), capacity=10.0)
