@@ -339,12 +339,12 @@ def _sweep_one_trace(
         )
     reference = omim_makespan(base)
     mc = trace.min_capacity_bytes
-    instances = []
-    for factor in capacity_factors:
-        instance = trace.to_instance(mc * factor)
-        if releases is not None:
-            instance = instance.with_releases(releases)
-        instances.append(instance)
+    # Every factor shares one task tuple, converted once: capacity-free
+    # static orders are then resolved once per trace, not once per factor.
+    tasks = base.tasks if releases is None else base.with_releases(releases).tasks
+    instances = [
+        Instance(tasks, capacity=mc * factor, name=base.name) for factor in capacity_factors
+    ]
     # One batch plane across the whole factor × solver grid: every plain
     # fixed-order lane advances in lockstep, the rest run per-instance.
     precomputed = _batched_precomputed(

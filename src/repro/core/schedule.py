@@ -380,11 +380,13 @@ class Schedule:
 
     @property
     def communication_busy_time(self) -> float:
-        return sum(e.task.comm for e in self._entries)
+        # fsum: exact, so every engine's schedule of the same placements
+        # reports the same busy time whatever order it sums in.
+        return math.fsum(e.task.comm for e in self._entries)
 
     @property
     def computation_busy_time(self) -> float:
-        return sum(e.task.comp for e in self._entries)
+        return math.fsum(e.task.comp for e in self._entries)
 
     def columns(self) -> ScheduleColumns:
         """The placements as numpy columns (entry order)."""

@@ -19,8 +19,14 @@ The implementation follows the classical three phases:
    cost until a single tour remains.
 3. **Reconstruction** — apply the selected interchanges to the successor map.
    Several application orders are tried (the classical rule splits interchanges
-   into two groups applied in opposite index orders); the realised tour with
-   the smallest no-wait makespan is returned.
+   into two groups applied in opposite index orders, and every permutation is
+   tried when at most 7 interchanges are selected); the realised tour with the
+   smallest no-wait makespan is returned.  Application orders mostly realise
+   the same successor vector, and an interchange only touches the successors
+   of its two positions, so each order is keyed in O(k) on the patched values
+   at those ≤ 2k positions.  Each distinct vector is cycle-checked and its
+   tour evaluated once, in the original iteration order; equal vectors give
+   equal tours, so the first-found best order is unchanged.
 
 A dummy job with zero times closes the tour, so the returned object is an open
 sequence starting right after the dummy — i.e. a task order usable by the
@@ -112,15 +118,21 @@ def _tour_from_successors(successor: Sequence[int], start: int) -> list[int]:
     return tour
 
 
-def _apply_interchanges(successor: list[int], positions: Sequence[int], order: Sequence[int]) -> list[int]:
-    """Swap the successors of ``p`` and ``p+1`` for each selected position."""
-    result = list(successor)
+def _patched_key(
+    successor: Sequence[int], positions: Sequence[int], touched: Sequence[int], order: Sequence[int]
+) -> tuple[int, ...]:
+    """Successors at ``touched`` after swapping those of ``p`` and ``p+1``
+    for each selected position ``p`` in ``order``.
+
+    Every other entry of the patched vector equals ``successor``, so the
+    returned values identify the patched vector; only a swap map over the
+    touched positions is built, never a copy of the whole vector.
+    """
+    patched: dict[int, int] = {}
     for p in order:
-        result[positions[p]], result[positions[p + 1]] = (
-            result[positions[p + 1]],
-            result[positions[p]],
-        )
-    return result
+        a, b = positions[p], positions[p + 1]
+        patched[a], patched[b] = patched.get(b, successor[b]), patched.get(a, successor[a])
+    return tuple(patched[t] for t in touched)
 
 
 def gilmore_gomory_order(tasks: Iterable[Task]) -> GilmoreGomoryResult:
@@ -200,7 +212,9 @@ def gilmore_gomory_order(tasks: Iterable[Task]) -> GilmoreGomoryResult:
     # interchanges by decreasing index and the other by increasing index; we
     # try the natural candidate orders and keep the best realised tour (each
     # candidate is guaranteed to be a single Hamiltonian tour because every
-    # selected interchange merges two distinct sub-tours).
+    # selected interchange merges two distinct sub-tours).  Candidates are
+    # keyed on their patched successors at the touched positions; a vector
+    # already seen gives the same tour and makespan, so it is skipped.
     # ------------------------------------------------------------------ #
     selected.sort()
     orders_to_try: list[list[int]] = []
@@ -219,16 +233,19 @@ def gilmore_gomory_order(tasks: Iterable[Task]) -> GilmoreGomoryResult:
     else:
         orders_to_try = [[]]
 
+    touched = sorted({positions[k + d] for k in selected for d in (0, 1)})
     best_order: tuple[Task, ...] | None = None
     best_makespan = float("inf")
     dummy_index = 0
-    seen_signatures: set[tuple[int, ...]] = set()
+    seen: set[tuple[int, ...]] = set()
     for application in orders_to_try:
-        signature = tuple(application)
-        if signature in seen_signatures:
+        key = _patched_key(successor, positions, touched, [selected[idx] for idx in application])
+        if key in seen:
             continue
-        seen_signatures.add(signature)
-        patched = _apply_interchanges(successor, positions, [selected[idx] for idx in application])
+        seen.add(key)
+        patched = list(successor)
+        for position, value in zip(touched, key):
+            patched[position] = value
         if len(_cycles_of(patched)) != 1:
             continue
         tour_indices = _tour_from_successors(patched, dummy_index)

@@ -37,6 +37,7 @@ class GilmoreGomory(StaticOrderHeuristic):
     favorable_situation = (
         "No extra memory beyond a single task in flight (the no-wait assumption it optimises for)."
     )
+    order_ignores_capacity = True
 
     def order(self, instance: Instance) -> Sequence[Task]:
         return gilmore_gomory_order(instance.tasks).order
@@ -66,6 +67,7 @@ class ExactNoWait(StaticOrderHeuristic):
     favorable_situation = (
         "Small batches with no extra memory beyond a single task in flight."
     )
+    order_ignores_capacity = True
 
     #: Largest instance solved exactly (Held-Karp is O(2^n n^2)).
     exact_limit: int = 16

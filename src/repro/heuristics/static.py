@@ -46,15 +46,28 @@ class StaticOrderHeuristic(Heuristic):
     """Base class: compute an order, then execute it under the memory constraint."""
 
     category = Category.STATIC
+    #: Whether :meth:`order` ignores ``instance.capacity``.  Such an order
+    #: is resolved once per task tuple: :meth:`kernel_policy` keeps the
+    #: last one, so a capacity sweep over one trace (every factor's instance
+    #: shares the trace's task tuple) resolves it once.  The default assumes
+    #: the order reads the capacity; a subclass that overrides :meth:`order`
+    #: of a capacity-free class to read it must set this back to ``False``.
+    order_ignores_capacity: bool = False
+    _order_memo: tuple[tuple[Task, ...], tuple[Task, ...]] | None = None
 
     def order(self, instance: Instance) -> Sequence[Task]:
         """Return the tasks of ``instance`` in the order to execute them."""
         raise NotImplementedError
 
     def kernel_policy(self, instance: Instance) -> FixedOrderPolicy:
-        return FixedOrderPolicy(
-            tuple(resolve_order(instance, self.order(instance))), name=self.name
-        )
+        memo = self._order_memo
+        if memo is not None and memo[0] is instance.tasks:
+            order = memo[1]
+        else:
+            order = tuple(resolve_order(instance, self.order(instance)))
+            if self.order_ignores_capacity:
+                self._order_memo = (instance.tasks, order)
+        return FixedOrderPolicy(order, name=self.name)
 
     def online_policy(self, instance: Instance) -> OnlinePlanPolicy:
         """Streaming form: re-run :meth:`order` on the ready set per arrival.
@@ -92,6 +105,7 @@ class OrderOfSubmission(StaticOrderHeuristic):
     name = "OS"
     category = Category.SUBMISSION
     description = "Order of submission: tasks are processed in the order they were given."
+    order_ignores_capacity = True
 
     def order(self, instance: Instance) -> Sequence[Task]:
         return instance.tasks
@@ -107,6 +121,7 @@ class _KeySortedHeuristic(StaticOrderHeuristic):
     #: large instances sort via the columnar argsort fast path, which is
     #: differential-tested to produce the identical permutation.
     columnar_key: str | None = None
+    order_ignores_capacity = True
 
     def order(self, instance: Instance) -> Sequence[Task]:
         if self.columnar_key is not None:
@@ -125,6 +140,7 @@ class OptimalOrderInfiniteMemory(StaticOrderHeuristic):
     name = "OOSIM"
     description = "Order of the optimal infinite-memory schedule (Johnson's rule)."
     favorable_situation = "Memory capacity is not a restriction (optimal in that case)."
+    order_ignores_capacity = True
 
     def order(self, instance: Instance) -> Sequence[Task]:
         fast = columnar_johnson_order(instance)

@@ -348,11 +348,11 @@ class ColumnarSchedule(Schedule):
 
     @property
     def communication_busy_time(self) -> float:
-        return float(self._view_columns()[0].sum())
+        return math.fsum(self._view_columns()[0].tolist())
 
     @property
     def computation_busy_time(self) -> float:
-        return float(self._view_columns()[1].sum())
+        return math.fsum(self._view_columns()[1].tolist())
 
     def columns(self) -> ScheduleColumns:
         """The placement columns, gathered from the packed arrays (no rows)."""

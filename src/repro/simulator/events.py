@@ -26,6 +26,7 @@ from ..core.schedule import (
     memory_steps,
     sweep_intervals,
 )
+from ..core.task import Task
 
 __all__ = ["EventKind", "SimEvent", "EventTrace"]
 
@@ -102,12 +103,36 @@ class EventTrace:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EventTrace({len(self._events)} events, makespan={self.makespan:g})"
 
-    def shifted(self, offset: float) -> "EventTrace":
-        """Trace translated in time by ``offset`` (batch chaining)."""
+    def shifted(self, offset: float, tasks: Iterable[Task]) -> "EventTrace":
+        """Trace translated in time by ``offset`` (batch chaining).
+
+        Start instants (and arrivals) move by ``offset``; every end instant
+        is re-derived as its shifted start plus the duration of the task in
+        ``tasks`` — the arithmetic of
+        :meth:`~repro.core.schedule.Schedule.shifted`, so a shifted trace
+        and its shifted schedule give bit-identical metrics.  Adding
+        ``offset`` to an end instant instead can round differently.
+        """
         if offset == 0.0:
             return self
+        by_name = {task.name: task for task in tasks}
+        transfer_start: dict[str, float] = {}
+        compute_start: dict[str, float] = {}
+        for event in self._events:
+            if event.kind is EventKind.TRANSFER_START:
+                transfer_start[event.task] = event.time + offset
+            elif event.kind is EventKind.COMPUTE_START:
+                compute_start[event.task] = event.time + offset
+
+        def moved(event: SimEvent) -> float:
+            if event.kind is EventKind.TRANSFER_END:
+                return transfer_start[event.task] + by_name[event.task].comm
+            if event.kind in (EventKind.COMPUTE_END, EventKind.MEMORY_RELEASE):
+                return compute_start[event.task] + by_name[event.task].comp
+            return event.time + offset
+
         return EventTrace(
-            SimEvent(e.time + offset, e.kind, e.task, e.amount) for e in self._events
+            SimEvent(moved(e), e.kind, e.task, e.amount) for e in self._events
         )
 
     @classmethod

@@ -371,3 +371,87 @@ class TestApplicationLabel:
             instance, paper_lineup(["OS"]), application="explicit"
         )
         assert record.application == "explicit"
+
+
+class TestOrderResolutionPerTrace:
+    """A capacity sweep shares one task tuple across its factors, so
+    capacity-free static orders are resolved once per trace job."""
+
+    CAPACITY_FREE = (
+        "OrderOfSubmission",
+        "OptimalOrderInfiniteMemory",
+        "IncreasingCommunication",
+        "DecreasingComputation",
+        "IncreasingCommPlusComp",
+        "DecreasingCommPlusComp",
+    )
+
+    @staticmethod
+    def counter(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_default_sweep_runs_gilmore_gomory_once_per_trace(self, traces, monkeypatch):
+        from repro.heuristics import baselines
+
+        calls = self.counter(monkeypatch, baselines, "gilmore_gomory_order")
+        results = Study().traces(*traces).run()
+        assert len(results) == len(traces) * 9 * 14
+        assert len(calls) == len(traces)
+
+    def test_bin_packing_resolves_once_per_factor(self, traces, monkeypatch):
+        from repro.heuristics import baselines
+
+        calls = self.counter(monkeypatch, baselines, "first_fit_bins")
+        Study().traces(*traces).solvers("BP", "GG").run()
+        assert len(calls) == len(traces) * 9
+
+    def test_undeclared_user_subclass_resolves_once_per_factor(self, traces):
+        calls = []
+
+        @register_solver()
+        class CountingReverse(StaticOrderHeuristic):
+            name = "COUNTING-REVERSE"
+
+            def order(self, instance):
+                calls.append(instance.capacity)
+                return list(reversed(instance.tasks))
+
+        try:
+            Study().traces(*traces).solvers("COUNTING-REVERSE").run()
+        finally:
+            unregister_solver("COUNTING-REVERSE")
+        assert len(calls) == len(traces) * 9
+
+    def test_memo_leaves_sweep_rows_unchanged(self, traces, monkeypatch):
+        import repro.heuristics.baselines as baselines
+        import repro.heuristics.static as static
+
+        memo = Study().traces(*traces).run().to_json()
+        for name in self.CAPACITY_FREE:
+            monkeypatch.setattr(getattr(static, name), "order_ignores_capacity", False)
+        monkeypatch.setattr(baselines.GilmoreGomory, "order_ignores_capacity", False)
+        assert Study().traces(*traces).run().to_json() == memo
+
+    def test_release_dated_sweep_matches_per_factor_instances(self, traces):
+        trace = traces[0]
+        releases = [0.05 * (i % 7) for i in range(len(trace))]
+        factors = (1.0, 1.5, 2.0)
+        names = ("OS", "GG", "BP", "OOSIM", "LCMR", "OOMAMR")
+        results = (
+            Study().traces(trace).capacities(*factors).solvers(*names).arrivals(releases).run()
+        )
+        mc = trace.min_capacity_bytes
+        expected = [
+            solve(trace.to_instance(mc * factor).with_releases(releases), name).makespan
+            for factor in factors
+            for name in names
+        ]
+        assert [r.makespan for r in results] == expected

@@ -102,6 +102,31 @@ class TestKernelComposition:
         transfers = [e for e in result.trace if e.kind is EventKind.TRANSFER_START]
         assert len(transfers) == len(instance)
 
+    def test_barrier_trace_gives_the_schedule_metrics(self):
+        # Each batch's trace is shifted like its schedule (ends re-derived
+        # from the shifted starts), so the trace-based and the schedule-based
+        # metrics of a barrier run agree exactly.
+        from repro.api import solve
+        from repro.core.metrics import evaluate
+        from repro.traces import synthetic_trace
+
+        regimes = (
+            "balanced",
+            "compute-heavy",
+            "communication-heavy",
+            "homogeneous",
+            "heterogeneous",
+            "mixed-intensity",
+        )
+        for seed in range(12):
+            trace = synthetic_trace(regimes[seed % len(regimes)], tasks=60, seed=seed)
+            instance = trace.to_instance_with_factor(1.25)
+            for name in PAPER_FIGURE_ORDER:
+                result = solve(instance, name, batch_size=7, record_events=True)
+                assert evaluate(result.schedule, instance, trace=result.trace) == evaluate(
+                    result.schedule, instance
+                ), (seed, name)
+
     def test_callable_scheduler_rejects_engine_options(self, instance):
         # A bare Instance -> Schedule callable is not a solver at all.
         with pytest.raises(TypeError, match="expected a solver"):

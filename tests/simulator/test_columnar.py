@@ -136,6 +136,23 @@ class TestColumnarSchedule:
         assert lazy.computation_busy_time == eager.computation_busy_time
         assert len(lazy) == len(eager)
 
+    def test_busy_times_are_bit_equal_to_the_row_schedule(self):
+        # Both schedules sum busy time with math.fsum, so the same
+        # placements report the same busy time on every engine.
+        from repro.core import Schedule
+        from repro.heuristics.base import PAPER_FIGURE_ORDER
+        from repro.traces import synthetic_trace
+
+        for seed in range(3):
+            trace = synthetic_trace("heterogeneous", tasks=300, seed=seed)
+            instance = trace.to_instance_with_factor(1.25)
+            for name in PAPER_FIGURE_ORDER:
+                columnar = solve(instance, name, engine="columnar").schedule
+                assert isinstance(columnar, ColumnarSchedule), name
+                rows = Schedule(columnar.entries)
+                assert columnar.communication_busy_time == rows.communication_busy_time
+                assert columnar.computation_busy_time == rows.computation_busy_time
+
     def test_compares_equal_to_the_eager_schedule(self):
         eager, lazy = self.pair()
         assert lazy == eager and eager == lazy
