@@ -11,7 +11,14 @@ before timing so every speedup is measured on equal work:
   :mod:`repro.simulator.columnar` against the object kernel at n = 10⁴
   (all three modes) and, in full mode, fixed order at n = 10⁵ plus a
   columnar-only n = 10⁶ probe.  The seed executors are O(n²) and sit out
-  these sizes.
+  these sizes.  Random memory is not co-monotone with comm, so the
+  columnar selection modes here run the ready-set scan.
+* **indexed selection** — a co-monotone family (memory equal to comm, as
+  in the trace generators), where dynamic and corrected runs take the
+  O(log n) comm index: the object kernel, the ready-set scan and the
+  index at n = 10⁴, schedules asserted identical and timings printed
+  without a gate; full mode adds an LCMR run at n = 10⁵ against the
+  one-second target.
 
 ``REPRO_SCALE=ci`` (the default, used by the CI smoke step) stops at n=200
 for the seed comparison and asserts the columnar engine is at least 5x the
@@ -33,6 +40,7 @@ from repro.simulator import (
     CorrectedOrderPolicy,
     CriterionPolicy,
     FixedOrderPolicy,
+    columnar,
     largest_communication,
     maximum_acceleration,
     simulate,
@@ -52,6 +60,12 @@ COLUMNAR_CI_SIZES = (10_000,)
 COLUMNAR_FULL_SIZES = (10_000, 100_000)
 COLUMNAR_ONLY_SIZE = 1_000_000
 
+#: Indexed-selection sizes: compared with the kernel and the scan at 10^4,
+#: and run alone (LCMR, full mode) at 10^5 against the one-second target.
+INDEXED_SIZE = 10_000
+INDEXED_ONLY_SIZE = 100_000
+INDEXED_TARGET_S = 1.0
+
 #: Tight-but-feasible capacity, as a multiple of the largest footprint.
 CAPACITY_FACTOR = 1.25
 
@@ -69,6 +83,81 @@ def make_instance(n: int, seed: int = 7) -> Instance:
     ]
     capacity = max(task.memory for task in tasks) * CAPACITY_FACTOR
     return Instance(tasks, capacity=capacity, name=f"bench/n{n}")
+
+
+def make_co_monotone_instance(n: int, seed: int = 7) -> Instance:
+    """Memory equal to comm (the trace generators' convention): the
+    dynamic and corrected columnar runs take the comm index."""
+    rng = np.random.default_rng(seed)
+    tasks = [
+        Task.from_times(f"t{i:06d}", float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0)))
+        for i in range(n)
+    ]
+    capacity = max(task.memory for task in tasks) * CAPACITY_FACTOR
+    return Instance(tasks, capacity=capacity, name=f"bench/co-monotone/n{n}")
+
+
+def scan_runner(instance: Instance, policy):
+    """The ready-set scan on a co-monotone view, bypassing the index."""
+    view = columnar.columnar_view(instance)
+    keys = columnar._criterion_keys(view, policy.criterion)
+    corrected = None
+    if type(policy) is CorrectedOrderPolicy:
+        corrected = [view.index[name] for name in policy.order]
+
+    def run():
+        placed, comm_start, comp_start, _ = columnar._policy_scan(
+            view, keys, corrected, instance.capacity, 1
+        )
+        return placed, list(comm_start), list(comp_start)
+
+    return run
+
+
+def timed_once(runner) -> tuple[object, float]:
+    start = time.perf_counter()
+    result = runner()
+    return result, time.perf_counter() - start
+
+
+def indexed_selection_lines(scale_is_ci: bool) -> list[str]:
+    """The indexed-selection table: identity asserted, timings reported."""
+    lines = [
+        "",
+        "Indexed selection on a co-monotone family (seconds per schedule)",
+        "",
+        f"{'n':>7} {'mode':<12} {'object':>9} {'scan':>9} {'indexed':>9} {'vs scan':>8}",
+    ]
+    instance = make_co_monotone_instance(INDEXED_SIZE)
+    for mode, policy in columnar_modes(instance):
+        if mode == "fixed-order":
+            continue
+        obj, object_s = timed_once(engine_runner(instance, policy, "object"))
+        indexed, _ = timed_once(engine_runner(instance, policy, "columnar"))
+        assert indexed == obj, f"indexed {mode} diverged from the object kernel"
+        placed, comm_start, comp_start = scan_runner(instance, policy)()
+        assert [entry.task.name for entry in indexed] == [
+            instance.tasks[i].name for i in placed
+        ]
+        assert [entry.comm_start for entry in indexed] == [comm_start[i] for i in placed]
+        assert [entry.comp_start for entry in indexed] == [comp_start[i] for i in placed]
+        scan_s = 1.0 / throughput(scan_runner(instance, policy), min_rounds=2)
+        indexed_s = 1.0 / throughput(engine_runner(instance, policy, "columnar"))
+        lines.append(
+            f"{INDEXED_SIZE:>7} {mode:<12} {object_s:>9.3f} {scan_s:>9.3f} "
+            f"{indexed_s:>9.4f} {scan_s / indexed_s:>7.1f}x"
+        )
+    if not scale_is_ci:
+        instance = make_co_monotone_instance(INDEXED_ONLY_SIZE)
+        policy = CriterionPolicy(largest_communication)
+        _, cold_s = timed_once(engine_runner(instance, policy, "columnar"))
+        _, warm_s = timed_once(engine_runner(instance, policy, "columnar"))
+        lines.append(
+            f"Indexed-only: n={INDEXED_ONLY_SIZE:,} LCMR in {warm_s:.2f}s "
+            f"({cold_s:.2f}s with the first run's pack and index build; "
+            f"target <= {INDEXED_TARGET_S:.0f}s)"
+        )
+    return lines
 
 
 def modes(instance: Instance):
@@ -209,6 +298,8 @@ def test_engine_scaling():
             f"{elapsed:.2f}s (makespan {makespan:.1f})",
         ]
         assert elapsed < 60.0, f"10^6-task columnar run took {elapsed:.1f}s"
+
+    lines += indexed_selection_lines(scale_is_ci)
 
     report = "\n".join(lines)
     print()

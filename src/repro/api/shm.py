@@ -326,10 +326,7 @@ def _seed_view(instance: Instance, memory, comm, comp, release, names, lists) ->
     view.memory = memory
     view.release = release
     view.comm_list, view.comp_list, view.memory_list = lists
-    view._total = None
-    view._name_rank = None
-    view._index = None
-    view._acceleration = None
+    view.reset_derived()
     object.__setattr__(instance, _VIEW_ATTR, view)
 
 

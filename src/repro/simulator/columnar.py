@@ -17,9 +17,13 @@ that dominate every sweep:
   columns with memory feasibility answered by an *array-backed release
   ledger*: release instants are appended to a flat, sorted-by-construction
   array and consumed by a forward cursor — no per-task heap churn.  Dynamic
-  and corrected modes keep their sequential decision loop but evaluate the
-  minimum-idle filter and the selection criterion over the whole ready set
-  as vectorized argmin reductions instead of per-task Python calls;
+  and corrected modes keep their sequential decision loop.  When memory is
+  co-monotone with comm (every trace generator and chemistry trace), the
+  memory fit and the minimum-idle filter are prefixes of the (comm, memory)
+  order, so each decision is two bisections and a prefix-min query on a
+  segment tree of criterion ranks — O(log n) per placement; other views
+  evaluate both filters and the criterion over the whole ready set as
+  vectorized argmin reductions;
 * the result stays columnar: :class:`ColumnarSchedule` holds the start
   times as flat arrays and materialises :class:`ScheduledTask` rows only
   when something actually indexes into them (validation, the differential
@@ -38,7 +42,9 @@ clock performs **exactly the kernel's arithmetic in exactly the kernel's
 order** on plain Python floats; numpy is used where it cannot change a
 single bit — packing the columns, computing sort orders, and
 whole-ready-set comparisons and reductions whose per-element operations
-match the scalar expressions.
+match the scalar expressions.  The comm index bisects with the very
+expressions the scan evaluates, and IEEE rounding is monotone, so its
+prefixes hold exactly the tasks the scan's masks select.
 
 When the fast path declines
 ---------------------------
@@ -64,7 +70,8 @@ import heapq
 import math
 import os
 from array import array
-from typing import Sequence
+from bisect import bisect_right
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -178,6 +185,8 @@ class ColumnarInstance:
         "_name_rank",
         "_index",
         "_acceleration",
+        "_comm_index",
+        "_criterion_ranks",
     )
 
     def __init__(self, instance: Instance) -> None:
@@ -192,10 +201,16 @@ class ColumnarInstance:
         self.comm_list = self.comm.tolist()
         self.comp_list = self.comp.tolist()
         self.memory_list = self.memory.tolist()
+        self.reset_derived()
+
+    def reset_derived(self) -> None:
+        """Drop every lazily derived column (a freshly packed view's state)."""
         self._total: np.ndarray | None = None
         self._name_rank: np.ndarray | None = None
         self._index: dict[str, int] | None = None
         self._acceleration: np.ndarray | None = None
+        self._comm_index: CommIndex | bool | None = None
+        self._criterion_ranks: dict[object, CriterionRank | None] = {}
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -240,6 +255,103 @@ class ColumnarInstance:
             acc[zero_comm & ~(self.comp > 0.0)] = 0.0
             self._acceleration = acc
         return self._acceleration
+
+    @property
+    def comm_index(self) -> CommIndex | None:
+        """The (comm, memory) order, or ``None`` when the view is not
+        co-monotone (memory decreases somewhere along that order).
+
+        On a co-monotone view both selection filters of the dynamic and
+        corrected policies are prefixes of this order, which is what lets
+        :func:`_indexed_policy_scan` replace the ready-set reductions.
+        """
+        if self._comm_index is None:
+            order = np.lexsort((self.memory, self.comm))
+            comm_sorted = self.comm[order]
+            memory_sorted = self.memory[order]
+            # ``>=`` is False on NaN, so a NaN column is never co-monotone.
+            co_monotone = bool(
+                np.all(comm_sorted[1:] >= comm_sorted[:-1])
+                and np.all(memory_sorted[1:] >= memory_sorted[:-1])
+            )
+            if co_monotone:
+                slot = np.empty(len(order), dtype=np.int64)
+                slot[order] = np.arange(len(order))
+                self._comm_index = CommIndex(
+                    order.tolist(), comm_sorted.tolist(), memory_sorted.tolist(), slot.tolist()
+                )
+            else:
+                self._comm_index = False
+        return self._comm_index or None
+
+    def criterion_rank(self, criterion) -> CriterionRank | None:
+        """The selection tree of ``criterion`` over :attr:`comm_index`.
+
+        ``None`` when the view is not co-monotone, the criterion has no
+        packed key, or a key is NaN (the ready-set scan then decides).
+        Cached per criterion, so repeated runs on one instance build it once.
+        """
+        ranks = self._criterion_ranks
+        if criterion in ranks:
+            return ranks[criterion]
+        index = self.comm_index
+        keys = _criterion_keys(self, criterion)
+        rank = None
+        if index is not None and keys is not None and not np.isnan(keys).any():
+            rank = CriterionRank.build(keys, self.name_rank, index.order)
+        ranks[criterion] = rank
+        return rank
+
+
+class CommIndex(NamedTuple):
+    """A co-monotone view's tasks in (comm, memory) order.
+
+    ``order[s]`` is the task at sorted position ``s`` and ``slot`` is its
+    inverse; ``comm`` and ``memory`` are the columns along ``order``, both
+    non-decreasing, so they can be bisected.
+    """
+
+    order: list[int]
+    comm: list[float]
+    memory: list[float]
+    slot: list[int]
+
+
+class CriterionRank(NamedTuple):
+    """A criterion's pick order over the sorted positions, as a segment tree.
+
+    The rank of sorted position ``s`` is its task's position in
+    ``lexsort((name_rank, keys))``, so the smallest rank is the smallest
+    (criterion key, name) pair.  Leaf ``s`` sits at ``tree[size + s]`` and
+    holds ``rank << shift | s``: a minimum names its own position.  Every
+    inner node holds the minimum of its two children, and the padding
+    leaves hold ``n << shift``, above every live leaf — the value a run
+    writes into the leaf of each position it places.  Each run copies the
+    tree into a list of its own.
+    """
+
+    tree: np.ndarray
+    size: int
+    shift: int
+
+    @classmethod
+    def build(cls, keys: np.ndarray, name_rank: np.ndarray, order: list[int]) -> CriterionRank:
+        n = len(order)
+        shift = n.bit_length()
+        task_rank = np.empty(n, dtype=np.int64)
+        task_rank[np.lexsort((name_rank, keys))] = np.arange(n)
+        size = 1
+        while size < n:
+            size <<= 1
+        level = np.full(size, n << shift, dtype=np.int64)
+        level[:n] = (task_rank[order] << shift) | np.arange(n)
+        levels = [level]
+        while len(level) > 1:
+            level = np.minimum(level[0::2], level[1::2])
+            levels.append(level)
+        # Heap layout: node v has children 2v and 2v+1, the root is node 1.
+        tree = np.concatenate([np.zeros(1, dtype=np.int64), *reversed(levels)])
+        return cls(tree, size, shift)
 
 
 def columnar_view(instance: Instance, *, build: bool = True) -> ColumnarInstance | None:
@@ -630,15 +742,22 @@ def simulate_columnar(
         )
         placed: Sequence[int] = order
     else:
-        keys = _criterion_keys(view, policy.criterion)
         corrected_order: list[int] | None = None
         if type(policy) is CorrectedOrderPolicy:
             index = view.index
             corrected_order = [index.get(name, -1) for name in policy.order]
         scan_mode = "corrected" if corrected_order is not None else "policy"
-        placed, comm_start, comp_start, memory_wait = _policy_scan(
-            view, keys, corrected_order, capacity, machine.link_count
-        )
+        ranked = view.criterion_rank(policy.criterion)
+        if ranked is not None:
+            scan_mode += "-indexed"
+            placed, comm_start, comp_start, memory_wait = _indexed_policy_scan(
+                view, ranked, corrected_order, capacity, machine.link_count
+            )
+        else:
+            keys = _criterion_keys(view, policy.criterion)
+            placed, comm_start, comp_start, memory_wait = _policy_scan(
+                view, keys, corrected_order, capacity, machine.link_count
+            )
 
     stats = KernelStats(
         engine="columnar",
@@ -925,11 +1044,13 @@ def _policy_scan(
 ) -> tuple[list[int], list[float], list[float], float]:
     """Dynamic / corrected decision loop with vectorized reductions.
 
-    One decision still places one transfer, but the per-candidate Python
-    work — the memory fit test, the minimum-idle filter, the criterion key
-    comparison — runs as whole-ready-set numpy reductions over compact
-    arrays (scheduled tasks are swap-removed, so every reduction touches
-    exactly the live candidates).  Per-element arithmetic matches the
+    The general-instance fallback of :func:`_indexed_policy_scan`: it runs
+    when memory is not co-monotone with comm, so the fit test is a prefix
+    of no one order.  The per-candidate work — the memory fit test, the
+    minimum-idle filter, the criterion key comparison — runs as
+    whole-ready-set numpy reductions over compact arrays (scheduled tasks
+    are swap-removed, so every reduction touches exactly the live
+    candidates), O(n) per placement.  Per-element arithmetic matches the
     scalar policy expressions, so the selected task — and therefore the
     schedule — is identical to the object kernel's.
     """
@@ -1070,4 +1191,170 @@ def _policy_scan(
             rank_a[slot] = rank_a[last]
             pos[moved] = slot
         k = last
+    return placed, comm_start, comp_start, memory_wait
+
+
+def _indexed_policy_scan(
+    view: ColumnarInstance,
+    ranked: CriterionRank,
+    corrected_order: list[int] | None,
+    capacity: float,
+    link_count: int,
+) -> tuple[list[int], list[float], list[float], float]:
+    """Dynamic / corrected decision loop in O(log n) per placement.
+
+    The exact counterpart of :func:`_policy_scan` on a co-monotone view
+    (:attr:`ColumnarInstance.comm_index`).  Along the (comm, memory) order
+    both filters are prefixes:
+
+    * ``memory <= headroom`` holds on ``[0, q)``, found by bisecting the
+      sorted memory column.  The first live position has the smallest comm
+      and the smallest memory of the ready set, so nothing fits exactly
+      when it lies at or past ``q``, and the minimum idle is its
+      ``comm - threshold`` (IEEE subtraction is monotone in ``comm``);
+    * ``comm - threshold <= cutoff`` holds on ``[0, p)``, bisected with
+      that same expression as the key.
+
+    The pick — the smallest (criterion key, name) among the live positions
+    of ``[0, min(p, q))`` — is then one prefix-min query on a segment tree
+    over :class:`CriterionRank` integers, and placing a task deletes its
+    leaf.  The clock, the release ledger, the link heap and the errors are
+    :func:`_policy_scan`'s own code.
+    """
+    from .engine import DeadlockError
+
+    n = len(view)
+    comm = view.comm_list
+    comp = view.comp_list
+    mem = view.memory_list
+    by_comm, comm_sorted, mem_sorted, slot_of = view.comm_index
+    size = ranked.size
+    mask = (1 << ranked.shift) - 1
+    tree = ranked.tree.tolist()
+    gone = n << ranked.shift  # a placed position's leaf: above every live one
+    first = 0  # the first live sorted position
+    k = n
+
+    finite = math.isfinite(capacity)
+    slack = max(TOLERANCE, TOLERANCE * capacity) if finite else TOLERANCE
+    used = 0.0
+    rel_time: list[float] = []
+    rel_amount: list[float] = []
+    rel_cursor = 0
+
+    single_link = link_count == 1
+    link_avail = 0.0
+    link_heap = [0.0] * link_count
+    cpu_avail = 0.0
+    time = 0.0
+
+    corrected = corrected_order is not None
+    done = [False] * n
+    cursor = 0
+
+    placed: list[int] = []
+    comm_start = [0.0] * n
+    comp_start = [0.0] * n
+    memory_wait = 0.0
+
+    while k > 0:
+        now = link_avail if single_link else link_heap[0]
+        if now > time:
+            time = now
+        horizon = time + TOLERANCE
+        while rel_cursor < len(rel_time) and rel_time[rel_cursor] <= horizon:
+            used -= rel_amount[rel_cursor]
+            rel_cursor += 1
+
+        if finite:
+            headroom = capacity + slack - used
+            fit_end = bisect_right(mem_sorted, headroom, first)
+            if fit_end <= first:
+                if rel_cursor == len(rel_time):
+                    raise DeadlockError(
+                        "deadlock: no task fits and no memory will be released"
+                    )
+                memory_wait += rel_time[rel_cursor] - time
+                time = rel_time[rel_cursor]
+                continue
+        else:
+            headroom = math.inf
+            fit_end = n
+
+        slot = -1
+        if corrected:
+            while cursor < len(corrected_order):
+                head = corrected_order[cursor]
+                if head < 0 or not done[head]:
+                    break
+                cursor += 1
+            if cursor < len(corrected_order):
+                head = corrected_order[cursor]
+                if head >= 0 and mem[head] <= headroom:
+                    slot = slot_of[head]
+        if slot < 0:
+            threshold = cpu_avail - time
+            best = comm_sorted[first] - threshold
+            cutoff = max(best, 0.0) + TOLERANCE
+            # ``threshold.__rsub__(c)`` is ``c - threshold``: the idle key.
+            idle_end = bisect_right(
+                comm_sorted, cutoff, first, fit_end, key=threshold.__rsub__
+            )
+            lo = first + size
+            hi = idle_end + size
+            pick = gone
+            while lo < hi:
+                if lo & 1:
+                    value = tree[lo]
+                    if value < pick:
+                        pick = value
+                    lo += 1
+                if hi & 1:
+                    hi -= 1
+                    value = tree[hi]
+                    if value < pick:
+                        pick = value
+                lo >>= 1
+                hi >>= 1
+            slot = pick & mask
+        i = by_comm[slot]
+        if corrected:
+            done[i] = True
+
+        c = comm[i]
+        if single_link:
+            start = time if time > link_avail else link_avail
+            end = start + c
+            link_avail = end
+        else:
+            start = max(time, link_heap[0])
+            end = start + c
+            heapq.heapreplace(link_heap, end)
+        used += mem[i]
+        comm_start[i] = start
+        placed.append(i)
+        cs = end if end > cpu_avail else cpu_avail
+        ce = cs + comp[i]
+        cpu_avail = ce
+        comp_start[i] = cs
+        rel_time.append(ce)
+        rel_amount.append(mem[i])
+
+        # Delete the leaf; stop climbing once a node's minimum is unchanged.
+        node = slot + size
+        tree[node] = gone
+        node >>= 1
+        while node:
+            left = tree[2 * node]
+            right = tree[2 * node + 1]
+            value = left if left < right else right
+            if tree[node] == value:
+                break
+            tree[node] = value
+            node >>= 1
+        k -= 1
+        if slot == first:
+            first += 1
+            while first < n and tree[first + size] == gone:
+                first += 1
     return placed, comm_start, comp_start, memory_wait

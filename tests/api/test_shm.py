@@ -26,6 +26,7 @@ import pytest
 from repro.api import ProcessBackend, Study, SweepJob, SweepJobError
 from repro.api.shm import ShmPlane, attach_payload, shm_enabled
 from repro.core import Instance, Task
+from repro.simulator import largest_communication
 from repro.simulator.columnar import columnar_view
 from repro.traces.generator import synthetic_trace
 from repro.traces.model import Trace
@@ -103,6 +104,24 @@ def test_instance_round_trips(clean_shm):
         detach()
 
 
+def test_shared_views_rebuild_the_selection_index(clean_shm):
+    tasks = [
+        Task(f"t{i}", comm=float(i % 5 + 1), comp=float(2 * i + 1)) for i in range(32)
+    ]
+    original = Instance(tasks, capacity=16.0, name="shm/co-monotone")
+    with ShmPlane() as plane:
+        rebuilt, detach = attach_payload(plane.publish(original))
+        view, packed = columnar_view(rebuilt), columnar_view(original)
+        assert view.comm_index is not None
+        assert view.comm_index == packed.comm_index
+        np.testing.assert_array_equal(
+            view.criterion_rank(largest_communication).tree,
+            packed.criterion_rank(largest_communication).tree,
+        )
+        del rebuilt, view
+        detach()
+
+
 def test_publish_dedupes_and_refcounts(clean_shm):
     trace = synthetic_trace("balanced", tasks=30, seed=1)
     plane = ShmPlane()
@@ -146,6 +165,24 @@ def test_shm_sweep_is_byte_identical_to_serial(clean_shm):
     reference = sweep_study().run().to_json()
     assert sweep_study(shm=True).run().to_json() == reference
     assert sweep_study(shm=False).run().to_json() == reference
+
+
+def test_env_shm_sweep_with_indexed_selection_is_byte_identical(clean_shm, monkeypatch):
+    """A ``REPRO_SHM=1`` process sweep through the indexed selection loop
+    is byte-identical to the serial sweep."""
+    trace = synthetic_trace("mixed-intensity", tasks=60, seed=4)
+    study = (
+        Study()
+        .traces(trace)
+        .capacities(1.0, 1.25)
+        .solvers("LCMR", "OOMAMR")
+        .engine("columnar")
+    )
+    serial = study.run()
+    assert set(serial.column("engine")) == {"columnar"}
+    monkeypatch.setenv("REPRO_SHM", "1")
+    parallel = study.parallel(2, backend="processes").run()
+    assert parallel.to_json() == serial.to_json()
 
 
 def test_failing_jobs_do_not_leak_segments(clean_shm):

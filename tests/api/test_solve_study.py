@@ -406,6 +406,17 @@ class TestOrderResolutionPerTrace:
         assert len(results) == len(traces) * 9 * 14
         assert len(calls) == len(traces)
 
+    def test_default_sweep_sorts_johnson_once_per_corrected_solver_per_trace(
+        self, traces, monkeypatch
+    ):
+        from repro.heuristics import corrected
+
+        # Every resolution asks the columnar sort first.
+        calls = self.counter(monkeypatch, corrected, "columnar_johnson_order")
+        results = Study().traces(*traces).run()
+        assert len(results) == len(traces) * 9 * 14
+        assert len(calls) == len(traces) * 3  # OOLCMR, OOSCMR, OOMAMR
+
     def test_bin_packing_resolves_once_per_factor(self, traces, monkeypatch):
         from repro.heuristics import baselines
 

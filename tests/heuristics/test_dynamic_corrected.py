@@ -63,3 +63,20 @@ class TestFigure6Reproduction:
             assert schedule.communication_order() == (
                 OptimalOrderInfiniteMemory().schedule(relaxed).communication_order()
             )
+
+
+class TestJohnsonOrderMemo:
+    """Corrected heuristics sort Johnson's order once per task tuple."""
+
+    def test_same_task_tuple_reuses_the_order(self, table4_instance):
+        heuristic = CorrectedMaximumAcceleration()
+        first = heuristic.kernel_policy(table4_instance)
+        again = heuristic.kernel_policy(table4_instance.with_capacity(1e9))
+        assert again.order is first.order
+
+    def test_new_task_tuple_resolves_again(self, table4_instance, table3_instance):
+        heuristic = CorrectedLargestCommunication()
+        heuristic.kernel_policy(table4_instance)
+        policy = heuristic.kernel_policy(table3_instance)
+        assert sorted(policy.order) == sorted(table3_instance.task_names)
+        assert policy.order == CorrectedLargestCommunication().kernel_policy(table3_instance).order

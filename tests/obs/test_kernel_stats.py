@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.api import ResultSet, Study, solve
 from repro.core import Instance, Task
 from repro.obs.stats import KernelStats
@@ -75,6 +76,36 @@ class TestStatsOnSolve:
         stats = result.stats
         assert stats.tasks == len(instance.tasks)
         assert stats.ledger_ops == 2 * stats.tasks
+
+
+class TestScanModeSpan:
+    """The ``columnar.scan`` span names the selection loop that ran."""
+
+    @staticmethod
+    def scan_modes(instance, solvers):
+        obs.enable()
+        marker = obs.mark()
+        for name in solvers:
+            solve(instance, name, engine="columnar")
+        return [
+            record["args"]["mode"]
+            for record in obs.export_since(marker)
+            if record["name"] == "columnar.scan"
+        ]
+
+    def test_co_monotone_views_run_the_index(self, instance):
+        modes = self.scan_modes(instance, ("LCMR", "OOMAMR", "OS"))
+        assert modes == ["policy-indexed", "corrected-indexed", "fixed"]
+
+    def test_other_views_fall_back_to_the_ready_set_scan(self):
+        rng = np.random.default_rng(4)
+        tasks = [
+            Task(f"T{i}", float(c), float(p), memory=float(m))
+            for i, (c, p, m) in enumerate(rng.uniform(0.1, 10.0, size=(24, 3)))
+        ]
+        instance = Instance(tasks, capacity=max(t.memory for t in tasks) * 1.3)
+        modes = self.scan_modes(instance, ("LCMR", "OOMAMR"))
+        assert modes == ["policy", "corrected"]
 
 
 class TestKernelStatsMerge:

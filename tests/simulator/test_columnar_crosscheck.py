@@ -301,3 +301,226 @@ def test_forced_columnar_sweep_matches_object_end_to_end(monkeypatch):
     assert set(forced.column("engine")) == {"columnar"}
     assert forced.column("makespan") == baseline.column("makespan")
     assert forced.column("ratio_to_optimal") == baseline.column("ratio_to_optimal")
+
+
+# --------------------------------------------------------------------------- #
+# The indexed selection loop on co-monotone views
+# --------------------------------------------------------------------------- #
+#: Co-monotone instance families: memory never decreases along the
+#: (comm, memory) order, so dynamic and corrected runs take the index.
+CO_MONOTONE_FAMILIES = ("few-comm", "comm-ties", "name-ties", "zero-comm")
+
+
+def co_monotone_instance(rng: np.random.Generator, index: int, family: str) -> Instance:
+    """A co-monotone instance of ``family`` under a drawn capacity.
+
+    * ``few-comm``: one to three distinct comm values (the HF traces have
+      six over 529 tasks), byte-scale memory proportional to comm;
+    * ``comm-ties``: comm ties whose memories differ, each tie group's
+      memories below the next group's;
+    * ``name-ties``: equal comm and acceleration across tasks, with names
+      out of submission order, so the name rank decides;
+    * ``zero-comm``: many zero transfers, so MAMR sees ``-inf`` keys (zero
+      comm, positive comp) and ``0.0`` keys, and LCMR sees ``-0.0``.
+    """
+    n = int(rng.integers(1, 40))
+    if family == "few-comm":
+        levels = rng.uniform(0.5, 10.0, size=int(rng.integers(1, 4)))
+        comm = rng.choice(levels, n)
+        memory = comm * 2.5e7
+    elif family == "comm-ties":
+        levels = np.sort(rng.uniform(0.5, 10.0, size=3))
+        group = rng.integers(0, 3, n)
+        comm = levels[group]
+        memory = 10.0 * group + rng.uniform(1.0, 9.0, n)
+    elif family == "name-ties":
+        comm = rng.choice(np.array([2.0, 4.0]), n)
+        memory = comm
+    else:
+        comm = rng.uniform(0.0, 10.0, n)
+        comm[rng.random(n) < 0.4] = 0.0
+        memory = comm.copy()
+    comp = comm * 1.5 if family == "name-ties" else rng.uniform(0.0, 10.0, n)
+    if family == "zero-comm":
+        comp[rng.random(n) < 0.3] = 0.0
+    names = [f"n{j:02d}" for j in rng.permutation(n)]
+    tasks = [
+        Task(names[i], float(comm[i]), float(comp[i]), memory=float(memory[i]))
+        for i in range(n)
+    ]
+    mc = max(task.memory for task in tasks)
+    draw = rng.random()
+    if draw < 0.2 or mc == 0.0:
+        capacity = math.inf
+    elif draw < 0.5:
+        capacity = mc  # exactly max_memory: the tightest feasible capacity
+    else:
+        capacity = mc * float(rng.uniform(1.0, 2.5))
+    return Instance(tasks, capacity=capacity, name=f"{family}/{index}")
+
+
+def selection_policies(instance: Instance, rng: np.random.Generator):
+    """The six dynamic and corrected policies, plus corrected orders that
+    are shuffled or hold names missing from the instance."""
+    johnson = [t.name for t in johnson_order(instance.tasks)]
+    names = list(instance.task_names)
+    criteria = {
+        "LCMR": largest_communication,
+        "SCMR": smallest_communication,
+        "MAMR": maximum_acceleration,
+    }
+    policies = [CriterionPolicy(criterion=c, name=name) for name, c in criteria.items()]
+    policies += [
+        CorrectedOrderPolicy(order=johnson, criterion=c, name=f"OO{name}")
+        for name, c in criteria.items()
+    ]
+    policies += [
+        CorrectedOrderPolicy(
+            order=list(rng.permutation(names)), criterion=maximum_acceleration, name="OOshuf"
+        ),
+        CorrectedOrderPolicy(
+            order=[names[-1], "zz-missing", *names[:2]],
+            criterion=largest_communication,
+            name="OOmissing",
+        ),
+    ]
+    return policies
+
+
+def both_scans(instance: Instance, policy, machine=None, capacity=None):
+    """``(ready-set scan, indexed scan)`` outcomes of one run, called directly.
+
+    ``capacity`` overrides the machine's effective capacity, which lets a
+    test go past the upfront feasibility check to the scans' own errors.
+    """
+    from repro.simulator import columnar
+
+    machine = machine or MachineModel()
+    view = columnar.columnar_view(instance)
+    if capacity is None:
+        capacity = machine.effective_capacity(instance.capacity)
+    corrected = None
+    if type(policy) is CorrectedOrderPolicy:
+        corrected = [view.index.get(name, -1) for name in policy.order]
+    keys = columnar._criterion_keys(view, policy.criterion)
+    ranked = view.criterion_rank(policy.criterion)
+    assert ranked is not None, f"{instance.name} should be co-monotone"
+    scans = (
+        (columnar._policy_scan, keys),
+        (columnar._indexed_policy_scan, ranked),
+    )
+
+    def run(scan, selection_keys):
+        placed, comm_start, comp_start, wait = scan(
+            view, selection_keys, corrected, capacity, machine.link_count
+        )
+        return list(placed), list(comm_start), list(comp_start), wait
+
+    return tuple(outcome(run, scan, selection_keys) for scan, selection_keys in scans)
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """Count which selection loop each columnar run takes."""
+    from repro.simulator import columnar
+
+    calls = {"scan": 0, "indexed": 0}
+    for name, label in (("_policy_scan", "scan"), ("_indexed_policy_scan", "indexed")):
+        original = getattr(columnar, name)
+
+        def counted(*args, original=original, label=label):
+            calls[label] += 1
+            return original(*args)
+
+        monkeypatch.setattr(columnar, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", CO_MONOTONE_FAMILIES)
+def test_indexed_selection_matches_scan_and_object_kernel(family, scan_calls):
+    rng = np.random.default_rng(CO_MONOTONE_FAMILIES.index(family))
+    machines = [None, MachineModel(link_count=2)]
+    compared = waited = 0
+    for index in range(30):
+        instance = co_monotone_instance(rng, index, family)
+        for machine in machines:
+            for policy in selection_policies(instance, rng):
+                assert columnar_runs(instance, policy, machine=machine)
+                scan, indexed = both_scans(instance, policy, machine)
+                assert indexed == scan, (instance.name, policy.name, machine)
+                waited += scan[0] == "ok" and scan[1][3] > 0.0
+                before = dict(scan_calls)
+                obj = outcome(object_schedule, instance, policy, machine=machine)
+                col = outcome(columnar_schedule, instance, policy, machine=machine)
+                assert col == obj, (instance.name, policy.name, machine)
+                # Only the indexed loop ran for the columnar engine.
+                assert scan_calls == {**before, "indexed": before["indexed"] + 1}
+                compared += 1
+    assert compared == 30 * 2 * 8
+    assert waited > 0  # the memory_wait totals were compared, not all zero
+
+
+def test_idle_exactly_at_the_cutoff_is_eligible(scan_calls):
+    """The minimum-idle filter keeps ``idle <= cutoff``: a task whose idle
+    lands exactly on ``best + TOLERANCE`` is a candidate, so LCMR starts
+    with ``b``, not ``a``."""
+    from repro.core.validation import TOLERANCE
+
+    instance = Instance(
+        [Task("a", 1.0, 5.0), Task("b", 1.0 + TOLERANCE, 5.0), Task("c", 3.0, 1.0)]
+    )
+    policy = CriterionPolicy(criterion=largest_communication, name="LCMR")
+    col = columnar_schedule(instance, policy)
+    assert scan_calls["indexed"] == 1
+    assert col == object_schedule(instance, policy)
+    assert col.communication_order()[0] == "b"
+
+
+def test_memory_exactly_at_the_headroom_fits(scan_calls):
+    """The fit test keeps ``memory <= headroom``: below a capacity of one
+    the slack is ``TOLERANCE`` and ``b`` needs exactly ``capacity + slack``."""
+    from repro.core.validation import TOLERANCE
+
+    capacity = 0.5
+    instance = Instance(
+        [Task("a", 0.2, 1.0, memory=0.2), Task("b", 0.3, 1.0, memory=capacity + TOLERANCE)],
+        capacity=capacity,
+    )
+    for criterion in (largest_communication, smallest_communication):
+        policy = CriterionPolicy(criterion=criterion)
+        col = outcome(columnar_schedule, instance, policy)
+        assert col[0] == "ok"
+        assert col == outcome(object_schedule, instance, policy)
+    assert scan_calls["indexed"] == 2
+
+
+def test_indexed_deadlock_error_matches_the_scan():
+    """Below the largest footprint the scans' own deadlock error fires
+    (``simulate`` rejects such a run before any scan starts)."""
+    instance = Instance(
+        [Task("a", 1.0, 1.0, memory=1.0), Task("b", 2.0, 2.0, memory=5.0)],
+        capacity=8.0,
+    )
+    for policy in selection_policies(instance, np.random.default_rng(0)):
+        scan, indexed = both_scans(instance, policy, capacity=3.0)
+        message = "deadlock: no task fits and no memory will be released"
+        assert scan == ("err", "DeadlockError", message)
+        assert indexed == scan
+
+
+def test_non_co_monotone_views_take_the_ready_set_scan(scan_calls):
+    from repro.simulator.columnar import columnar_view
+
+    tasks = [
+        Task("a", 1.0, 3.0, memory=9.0),  # the smallest comm, the largest memory
+        Task("b", 2.0, 1.0, memory=2.0),
+        Task("c", 3.0, 2.0, memory=4.0),
+    ]
+    instance = Instance(tasks, capacity=12.0)
+    view = columnar_view(instance)
+    assert view.comm_index is None
+    assert view.criterion_rank(largest_communication) is None
+    for policy in selection_policies(instance, np.random.default_rng(1)):
+        col = outcome(columnar_schedule, instance, policy)
+        assert col == outcome(object_schedule, instance, policy)
+    assert scan_calls == {"scan": 8, "indexed": 0}
