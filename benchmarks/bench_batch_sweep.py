@@ -11,7 +11,7 @@ full-scale numbers recorded in ``benchmarks/results/batch_sweep.txt``:
   256 instances × 1000 tasks on the memory-contended regimes the paper
   studies; the unconstrained regime is recorded too (it gains less, since
   the per-instance kernel is cheapest exactly when no lane ever waits).
-* **IPC bytes** — with the ``REPRO_SHM`` job plane, a process-backend wire
+* **IPC bytes** — with the shared-memory job plane, a process-backend wire
   job carries a ~200-byte segment handle instead of the pickled payload;
   on a 10^5-task trace that cuts per-chunk shipped bytes by far more than
   the 10x bar.  This ratio is deterministic, so it gates at every scale.
@@ -155,7 +155,7 @@ def ipc_report() -> str:
     ratio = pickled / shipped
     lines = [
         "",
-        "Process-backend wire bytes per job (REPRO_SHM zero-copy plane)",
+        "Process-backend wire bytes per job (shared-memory zero-copy plane)",
         f"payload: one synthetic trace, {tasks} tasks",
         "",
         f"{'wire form':<18} {'bytes':>12}",

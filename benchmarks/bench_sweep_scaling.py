@@ -1,11 +1,9 @@
-"""Sweep scaling — serial vs thread vs process backends, wall-clock.
+"""Sweep scaling — serial vs process backend, wall-clock.
 
 Times one multi-trace heuristic sweep (a ``Study`` over a synthetic
-ensemble) on every execution backend at 1/2/4/8 workers, asserting first
-that every backend produces a byte-identical ``ResultSet``.  The thread
-backend documents the GIL ceiling (the pure-Python kernel serializes, so
-threads buy almost nothing); the process backend is the one expected to
-scale with cores.
+ensemble) serially and on the process backend at 1/2/4/8 workers,
+asserting first that every run produces a byte-identical ``ResultSet``.
+The process backend is the one expected to scale with cores.
 
 ``REPRO_SCALE=ci`` (the default, used by the CI smoke step) shrinks the
 sweep and only checks equivalence: wall clock on shared CI runners is too
@@ -59,7 +57,7 @@ def test_sweep_scaling():
     serial_seconds, reference = timed_run(build_study(ensemble, factors))
     cores = usable_cores()
     lines = [
-        "Sweep scaling: one Study, three execution backends (wall-clock seconds)",
+        "Sweep scaling: one Study, serial vs process backend (wall-clock seconds)",
         f"workload: {traces} traces x {tasks} tasks x {len(factors)} capacities "
         f"x {len(SOLVERS)} heuristics; host: {cores} usable core(s)",
         "",
@@ -67,22 +65,21 @@ def test_sweep_scaling():
         f"{'serial':<10} {1:>7} {serial_seconds:>9.2f} {1.0:>9.2f}x",
     ]
     speedups: dict[tuple[str, int], float] = {}
-    for backend in ("threads", "processes"):
-        for workers in worker_counts:
-            seconds, payload = timed_run(
-                build_study(ensemble, factors).parallel(workers, backend=backend)
-            )
-            assert payload == reference, f"{backend}@{workers} diverged from serial"
-            speedup = serial_seconds / seconds
-            speedups[(backend, workers)] = speedup
-            lines.append(f"{backend:<10} {workers:>7} {seconds:>9.2f} {speedup:>9.2f}x")
+    backend = "processes"
+    for workers in worker_counts:
+        seconds, payload = timed_run(
+            build_study(ensemble, factors).parallel(workers, backend=backend)
+        )
+        assert payload == reference, f"{backend}@{workers} diverged from serial"
+        speedup = serial_seconds / seconds
+        speedups[(backend, workers)] = speedup
+        lines.append(f"{backend:<10} {workers:>7} {seconds:>9.2f} {speedup:>9.2f}x")
     if cores < 4:
         lines += [
             "",
-            f"note: this run saw only {cores} usable core(s), so every backend is",
-            "bound by the same single core and the process backend can only add",
-            "overhead; regenerate on a 4+ core host to observe the scaling (the",
-            ">=3x bar below is asserted automatically there).",
+            f"note: this run saw only {cores} usable core(s), fewer than the 4 the",
+            "scaling bar needs; regenerate on a 4+ core host to observe the",
+            "scaling (the >=3x bar below is asserted automatically there).",
         ]
     report = "\n".join(lines)
     print()

@@ -38,7 +38,7 @@ def main() -> None:
     )
     parser.add_argument(
         "--jobs", type=int, default=None,
-        help="worker threads for the sweep (default: one per CPU)",
+        help="worker processes for the sweep (default: one per CPU)",
     )
     args = parser.parse_args()
 
@@ -63,7 +63,7 @@ def main() -> None:
     print(f"\nminimum workable capacity mc: median {mc.median / 1e3:.0f} KB\n")
 
     # Heuristic comparison across capacities (Figures 9 and 10), with the
-    # per-trace jobs fanned out over a thread pool.
+    # per-trace jobs fanned out over a process pool.
     records = (
         Study()
         .traces(ensemble)

@@ -195,9 +195,10 @@ def _sweep_parser() -> argparse.ArgumentParser:
     )
     execution.add_argument(
         "--backend",
-        choices=["serial", "threads", "processes"],
+        choices=["serial", "processes"],
         default=None,
-        help="execution backend (default: REPRO_BACKEND, else threads when --jobs > 1)",
+        help="execution backend (default: REPRO_BACKEND, else processes when --jobs > 1 "
+        "and every solver travels by name)",
     )
     execution.add_argument(
         "--jobs", type=int, default=None, help="worker count (default: CPU count, capped by REPRO_NUM_JOBS)"

@@ -20,9 +20,8 @@ from .backends import (
     SerialBackend,
     StopSweep,
     SweepJobError,
-    ThreadBackend,
     guard_progress,
-    resolve_backend,
+    plan_backend,
 )
 from .checkpoint import SweepCheckpoint, chunk_key, job_key
 from .engine import (
@@ -53,7 +52,7 @@ from .registry import (
     wire_to_spec,
 )
 from .results import ResultSet, RunRecord, SpilledResultSet
-from .shm import SHM_ENV_VAR, ShmHandle, ShmPlane, shm_enabled
+from .shm import ShmHandle, ShmPlane
 from .sharding import (
     ShardWriter,
     merge_shards,
@@ -68,7 +67,6 @@ __all__ = [
     "DEFAULT_CAPACITY_FACTORS",
     "DEFAULT_SPILL_THRESHOLD",
     "PAPER_FIGURE_ORDER",
-    "SHM_ENV_VAR",
     "SPILL_THRESHOLD_ENV_VAR",
     "ExecutionBackend",
     "ShmHandle",
@@ -89,7 +87,6 @@ __all__ = [
     "SweepCheckpoint",
     "SweepJob",
     "SweepJobError",
-    "ThreadBackend",
     "UnknownSolverError",
     "available_solvers",
     "chunk_key",
@@ -102,8 +99,7 @@ __all__ = [
     "paper_lineup",
     "parse_shard",
     "register_solver",
-    "resolve_backend",
-    "shm_enabled",
+    "plan_backend",
     "resolve_solvers",
     "run_solvers_on_instance",
     "solve",

@@ -5,13 +5,12 @@ self-contained, picklable :class:`~repro.api.engine.SweepJob` objects, cut
 into chunks; a *backend* decides where those chunks run:
 
 * :class:`SerialBackend` — in the calling thread, one chunk at a time;
-* :class:`ThreadBackend` — a ``ThreadPoolExecutor`` fan-out (cheap to start,
-  but the pure-Python kernel is GIL-serialized, so wall-clock gains are
-  limited to validation/IO slack);
 * :class:`ProcessBackend` — a ``ProcessPoolExecutor`` fan-out for true
   multi-core sweeps.  Jobs are converted to their wire form first
   (:meth:`SweepJob.to_wire`), so workers rebuild solvers from their own
-  registry and never unpickle live solver state.
+  registry and never unpickle live solver state.  Payloads of at least
+  :data:`SHM_MIN_TASKS` tasks travel through the shared-memory job plane
+  (:mod:`repro.api.shm`); smaller ones are pickled by value.
 
 A backend implements one method, :meth:`ExecutionBackend.stream_chunks`: it
 pulls ``(tag, jobs)`` chunks from an iterator (possibly lazily *generated* —
@@ -24,10 +23,11 @@ worker counts and chunk sizes — differential-tested in
 ``tests/api/test_backends.py`` and ``tests/api/test_lattice.py``.  Peak
 memory is proportional to the in-flight window, not the sweep size.
 
-Selection goes through :func:`resolve_backend`: an explicit backend (name or
-instance) wins, then the ``REPRO_BACKEND`` environment variable, then the
-historical default (threads when parallelism was requested, serial
-otherwise).
+Selection goes through :func:`plan_backend`, which returns the backend and
+the reason for it: an explicit backend (name or instance) wins, then the
+``REPRO_BACKEND`` environment variable; otherwise a sweep asking for more
+than one worker runs on processes whenever its jobs can cross a process
+boundary, and serially (naming what kept it there) when they cannot.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     Executor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -49,19 +48,20 @@ from typing import Callable, Iterable, Iterator, Protocol, Sequence, runtime_che
 
 from .. import obs
 from .results import RunRecord
-from .shm import ShmPlane, shm_enabled
+from .registry import spec_to_wire
+from .shm import ShmHandle, ShmPlane
 
 __all__ = [
     "BACKEND_ENV_VAR",
+    "SHM_MIN_TASKS",
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",
     "StopSweep",
     "SweepJobError",
-    "ThreadBackend",
     "auto_chunk_size",
     "guard_progress",
-    "resolve_backend",
+    "plan_backend",
 ]
 
 #: Environment variable overriding the backend choice for every sweep.
@@ -166,16 +166,6 @@ def auto_chunk_size(job_count: int, workers: int) -> int:
     return max(1, math.ceil(job_count / (max(workers, 1) * _CHUNKS_PER_WORKER)))
 
 
-def _run_chunk(jobs: Sequence) -> list[list[RunRecord]]:
-    """Run one shard of jobs in-process; failures propagate unwrapped.
-
-    The serial and thread backends use this directly, so a failing job
-    raises its *original* exception — same type, same object — exactly as
-    the pre-backend thread pool did.
-    """
-    return [job.run() for job in jobs]
-
-
 def _run_chunk_wrapped(jobs: Sequence) -> list[list[RunRecord]]:
     """Process-worker entry point: failures become picklable SweepJobErrors.
 
@@ -269,20 +259,6 @@ def _pool_shape(n_jobs: int | None, max_pending: int | None) -> tuple[int, int]:
     return min(workers, max_pending), max_pending
 
 
-def _stream_serial(
-    chunks: Iterable,
-    runner: Callable[[Sequence], list[list[RunRecord]]],
-    on_chunk: ChunkCallback | None,
-) -> Iterator:
-    """One chunk at a time in the calling thread — the streaming reference."""
-    for tag, chunk in chunks:
-        with obs.span("sweep.chunk", jobs=len(chunk)):
-            records = _absorb_obs(runner(chunk))
-        if on_chunk is not None:
-            on_chunk(tag, len(chunk))
-        yield tag, records
-
-
 def _stream_pool(
     pool: Executor,
     chunks: Iterable,
@@ -351,32 +327,20 @@ class SerialBackend:
     name = "serial"
 
     def stream_chunks(self, chunks, *, on_chunk=None, max_pending=None):
-        """Yield ``(tag, records)`` per chunk, pulling chunks lazily."""
-        return _stream_serial(chunks, _run_chunk, on_chunk)
+        """Yield ``(tag, records)`` per chunk, pulling chunks lazily.
+
+        A failing job raises its *original* exception — same type, same
+        object; only the process boundary needs :class:`SweepJobError`.
+        """
+        for tag, chunk in chunks:
+            with obs.span("sweep.chunk", jobs=len(chunk)):
+                records = [job.run() for job in chunk]
+            if on_chunk is not None:
+                on_chunk(tag, len(chunk))
+            yield tag, records
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "SerialBackend()"
-
-
-class ThreadBackend:
-    """Fan chunks of jobs over a thread pool (the pre-backend behaviour)."""
-
-    name = "threads"
-
-    def __init__(self, n_jobs: int | None = None) -> None:
-        self.n_jobs = n_jobs
-
-    def stream_chunks(self, chunks, *, on_chunk=None, max_pending=None):
-        """Bounded-window streaming over the thread pool (ordered yields)."""
-        workers, max_pending = _pool_shape(self.n_jobs, max_pending)
-        if workers <= 1:
-            yield from _stream_serial(chunks, _run_chunk, on_chunk)
-            return
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from _stream_pool(pool, chunks, _run_chunk, on_chunk, max_pending)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ThreadBackend(n_jobs={self.n_jobs!r})"
 
 
 def _process_worker_init() -> None:
@@ -395,12 +359,6 @@ def _process_worker_init() -> None:
     # registration; cancel it so worker exits never clobber the trace file.
     obs.disable_autoexport()
     warm_registry()
-
-
-def _is_shm_handle(wire_job) -> bool:
-    from .shm import ShmHandle
-
-    return isinstance(getattr(wire_job, "payload", None), ShmHandle)
 
 
 def _wire_probe():
@@ -426,10 +384,17 @@ def _wire_probe():
             raise TypeError(
                 f"sweep job {job.label!r} cannot be pickled for the process "
                 f"backend ({error}); use picklable solver parameters and "
-                "payloads, or backend='threads'"
+                "payloads, or backend='serial'"
             ) from error
 
     return probe
+
+
+#: Smallest payload, in tasks, that the process backend publishes to the
+#: shared-memory job plane; smaller payloads travel pickled by value.  On a
+#: 2-core host (2 workers, 8 alternating pairs per size), shm lost 5 of 8 at
+#: 100 tasks (median +2%) and won all 8 at 250 (-9%) and at 529 (-18%).
+SHM_MIN_TASKS = 250
 
 
 class ProcessBackend:
@@ -438,18 +403,14 @@ class ProcessBackend:
     Jobs are sent in wire form (solver specs by registered name + params);
     each worker warms its own registry once and rebuilds fresh solvers per
     job, so no solver instance, closure or lock ever crosses the boundary.
+    The parent publishes each payload of at least :data:`SHM_MIN_TASKS`
+    tasks to a shared-memory segment and ships a handle in its place.
     """
 
     name = "processes"
 
-    def __init__(self, n_jobs: int | None = None, *, shm: bool | None = None) -> None:
+    def __init__(self, n_jobs: int | None = None) -> None:
         self.n_jobs = n_jobs
-        #: ``True``/``False`` force the shared-memory job plane on or off;
-        #: ``None`` defers to the ``REPRO_SHM`` environment variable.
-        self.shm = shm
-
-    def _job_plane(self) -> "ShmPlane | None":
-        return ShmPlane() if shm_enabled(self.shm) else None
 
     def stream_chunks(self, chunks, *, on_chunk=None, max_pending=None):
         """Bounded-window streaming over a process pool (ordered yields).
@@ -457,26 +418,25 @@ class ProcessBackend:
         Each chunk is converted to wire form as it is pulled, and one job
         per distinct payload type gets a trial pickle before it is submitted,
         so an unpicklable payload anywhere in the stream fails with a clear
-        TypeError instead of an opaque pool teardown.  With the shm plane
-        on, each chunk's segments are released as soon as the chunk's
-        results are back, keeping ``/dev/shm`` usage proportional to the
-        in-flight window.
+        TypeError instead of an opaque pool teardown.  Each chunk's shm
+        segments are released as soon as the chunk's results are back,
+        keeping ``/dev/shm`` usage proportional to the in-flight window.
         """
         workers, max_pending = _pool_shape(self.n_jobs, max_pending)
-        plane = self._job_plane()
+        plane = ShmPlane()
         pending_handles: dict = {}
 
         def wired(source):
             probe = _wire_probe()
             traced = obs.is_enabled()
             for tag, chunk in source:
-                if plane is not None:
-                    wire_chunk = [job.to_wire(plane=plane) for job in chunk]
-                    pending_handles[tag] = [
-                        job.payload for job in wire_chunk if _is_shm_handle(job)
-                    ]
-                else:
-                    wire_chunk = [job.to_wire() for job in chunk]
+                wire_chunk = [
+                    job.to_wire(plane=plane if len(job.payload) >= SHM_MIN_TASKS else None)
+                    for job in chunk
+                ]
+                pending_handles[tag] = [
+                    job.payload for job in wire_chunk if isinstance(job.payload, ShmHandle)
+                ]
                 for wire_job, job in zip(wire_chunk, chunk):
                     probe(wire_job, job)
                 if traced:
@@ -486,9 +446,8 @@ class ProcessBackend:
                 yield tag, wire_chunk
 
         def chunk_done(tag, count):
-            if plane is not None:
-                for handle in pending_handles.pop(tag, ()):
-                    plane.release(handle)
+            for handle in pending_handles.pop(tag, ()):
+                plane.release(handle)
             if on_chunk is not None:
                 on_chunk(tag, count)
 
@@ -507,8 +466,7 @@ class ProcessBackend:
                 "the failure in-process"
             ) from error
         finally:
-            if plane is not None:
-                plane.close()
+            plane.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ProcessBackend(n_jobs={self.n_jobs!r})"
@@ -518,47 +476,71 @@ class ProcessBackend:
 _BACKEND_ALIASES: dict[str, type] = {
     "serial": SerialBackend,
     "sequential": SerialBackend,
-    "threads": ThreadBackend,
-    "thread": ThreadBackend,
-    "threading": ThreadBackend,
     "processes": ProcessBackend,
     "process": ProcessBackend,
     "multiprocessing": ProcessBackend,
 }
 
 
-def resolve_backend(
+def _named_backend(name: str, n_jobs: int | None) -> ExecutionBackend:
+    try:
+        cls = _BACKEND_ALIASES[name.lower()]
+    except KeyError:
+        raise ValueError(
+            f"unknown execution backend {name!r}; "
+            f"choose from {sorted(_BACKEND_ALIASES)}"
+        ) from None
+    return SerialBackend() if cls is SerialBackend else cls(n_jobs)
+
+
+def _process_blocker(solver_specs: Sequence, machine, arrivals) -> str | None:
+    """Why a sweep's jobs cannot cross a process boundary (``None``: they can)."""
+    for spec in solver_specs:
+        try:
+            spec_to_wire(spec)
+        except TypeError as error:
+            return str(error).split(";")[0]
+    for what, value in (("machine", machine), ("arrivals", arrivals)):
+        try:
+            pickle.dumps(value)
+        except Exception as error:
+            return f"{what} {value!r} cannot be pickled ({type(error).__name__})"
+    return None
+
+
+def plan_backend(
     backend: "str | ExecutionBackend | None" = None,
     *,
     n_jobs: int | None = None,
-) -> ExecutionBackend:
-    """Pick the execution backend for a sweep.
+    solver_specs: Sequence = (),
+    machine=None,
+    arrivals=None,
+) -> "tuple[ExecutionBackend, str]":
+    """The backend that runs a sweep, and why: ``(backend, reason)``.
 
-    Precedence: an explicit ``backend`` (name or instance) wins, then the
-    ``REPRO_BACKEND`` environment variable, then the historical default —
-    threads when ``n_jobs`` requests parallelism, serial otherwise.
-    ``n_jobs`` is forwarded to pool backends built here; an already-built
-    backend instance keeps its own worker count.
+    An explicit ``backend`` (name or instance) wins, then the
+    ``REPRO_BACKEND`` environment variable.  Otherwise a sweep asking for
+    more than one worker runs on :class:`ProcessBackend` when every solver
+    spec has a wire form (:func:`~repro.api.registry.spec_to_wire`) and
+    ``machine`` and ``arrivals`` pickle, and on :class:`SerialBackend`
+    with a reason naming the blocker when not.  Payloads are trial-pickled
+    later, by the process backend, which raises a clear ``TypeError``.
     """
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR, "").strip() or None
-    if backend is None:
-        if n_jobs is None or n_jobs == 1:
-            return SerialBackend()
-        return ThreadBackend(n_jobs)
     if isinstance(backend, str):
-        try:
-            cls = _BACKEND_ALIASES[backend.lower()]
-        except KeyError:
-            raise ValueError(
-                f"unknown execution backend {backend!r}; "
-                f"choose from {sorted(set(_BACKEND_ALIASES))}"
-            ) from None
-        if cls is SerialBackend:
-            return SerialBackend()
-        return cls(n_jobs)
-    if isinstance(backend, ExecutionBackend):
-        return backend
-    raise TypeError(
-        f"backend must be a name or an ExecutionBackend, got {type(backend).__name__}"
-    )
+        return _named_backend(backend, n_jobs), "requested"
+    if backend is not None:
+        if not isinstance(backend, ExecutionBackend):
+            raise TypeError(
+                "backend must be a name or an ExecutionBackend, "
+                f"got {type(backend).__name__}"
+            )
+        return backend, "requested"
+    env = os.environ.get(BACKEND_ENV_VAR, "").strip()
+    if env:
+        return _named_backend(env, n_jobs), BACKEND_ENV_VAR
+    if n_jobs is None or _effective_workers(n_jobs, None) <= 1:
+        return SerialBackend(), "one worker"
+    blocker = _process_blocker(solver_specs, machine, arrivals)
+    if blocker is not None:
+        return SerialBackend(), blocker
+    return ProcessBackend(n_jobs), "jobs cross a process boundary"

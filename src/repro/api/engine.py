@@ -5,9 +5,9 @@ This is the machinery underneath :func:`repro.solve` and
 trace (the OMIM reference is computed exactly once and shared by every
 capacity factor) or one raw instance — described entirely by plain data, so
 jobs run unchanged on any :mod:`~repro.api.backends` executor: in the
-calling thread, on a thread pool, or on a process pool.  Backends preserve
-submission order and jobs are deterministic, so every backend produces a
-byte-identical :class:`~repro.api.results.ResultSet`.
+calling thread, on a process pool, or on the serving daemon's shared pool.
+Backends preserve submission order and jobs are deterministic, so every
+backend produces a byte-identical :class:`~repro.api.results.ResultSet`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .backends import (
     _effective_workers,
     auto_chunk_size,
     guard_progress,
-    resolve_backend,
+    plan_backend,
 )
 from .checkpoint import SweepCheckpoint, chunk_key
 from .registry import Solver, resolve_solvers, solver_names, spec_to_wire, wire_to_spec
@@ -444,8 +444,9 @@ class SweepJob:
         instances, opaque closures) — the process backend calls this before
         any worker starts, so the error surfaces early and clearly.
 
-        With a ``plane`` (the process backend's opt-in shared-memory job
-        plane), the payload itself is replaced by a tiny
+        With a ``plane`` (the process backend's shared-memory job plane,
+        passed for payloads of at least ``SHM_MIN_TASKS`` tasks), the
+        payload itself is replaced by a tiny
         :class:`~repro.api.shm.ShmHandle`: the columns travel through a
         shared segment published once per distinct payload, and the wire
         job carries only the pointer.
@@ -605,6 +606,9 @@ def _run_sweep(
     *,
     backend,
     n_jobs: int | None,
+    solver_specs: Sequence,
+    machine: MachineModel | None,
+    arrivals,
     chunk_size: int | None,
     on_progress,
     spill,
@@ -621,11 +625,15 @@ def _run_sweep(
     :class:`ResultSet` or :class:`SpilledResultSet` (and checkpointed /
     forwarded to ``on_records``) strictly in submission order.  The output
     is byte-identical whatever the backend, chunking, sharding, spill or
-    resume history.
+    resume history.  :func:`~repro.api.backends.plan_backend` picks the
+    backend, and its reason is counted in ``sweep_backend_total``.
     """
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size!r}")
-    executor = resolve_backend(backend, n_jobs=n_jobs)
+    executor, reason = plan_backend(
+        backend, n_jobs=n_jobs, solver_specs=solver_specs, machine=machine, arrivals=arrivals
+    )
+    obs.REGISTRY.inc("sweep_backend_total", backend=executor.name, reason=reason)
     shard_spec = _resolve_shard(shard)
     progress = guard_progress(on_progress)
     if shard_spec is None or job_total is None:
@@ -777,8 +785,10 @@ def sweep_traces(
     """Capacity sweep of every solver over every trace of ``sources``.
 
     ``n_jobs`` > 1 distributes whole-trace :class:`SweepJob` s over an
-    execution backend — threads by default, ``backend="processes"`` (or the
-    ``REPRO_BACKEND`` environment variable) for true multi-core sweeps.
+    execution backend — processes by default whenever the solver specs,
+    ``machine`` and ``arrivals`` can cross a process boundary, serial
+    otherwise (:func:`~repro.api.backends.plan_backend`); ``backend`` or the
+    ``REPRO_BACKEND`` environment variable pick one explicitly.
     Jobs are sharded into chunks of ``chunk_size`` (auto-sized from the job
     and worker counts when omitted) to amortize inter-process traffic, and
     results are merged in submission order, so the output is byte-identical
@@ -837,6 +847,9 @@ def sweep_traces(
         job_total,
         backend=backend,
         n_jobs=n_jobs,
+        solver_specs=solver_specs,
+        machine=machine,
+        arrivals=arrivals,
         chunk_size=chunk_size,
         on_progress=on_progress,
         spill=spill,
@@ -909,6 +922,9 @@ def sweep_instances(
         job_total,
         backend=backend,
         n_jobs=n_jobs,
+        solver_specs=solver_specs,
+        machine=machine,
+        arrivals=arrivals,
         chunk_size=chunk_size,
         on_progress=on_progress,
         spill=spill,

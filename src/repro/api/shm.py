@@ -24,13 +24,13 @@ every segment on :meth:`close` (the process backend calls it in a
 and a module ``atexit`` hook sweeps anything left if the interpreter exits
 mid-sweep — no leaked ``/dev/shm`` entries, test-proven in
 ``tests/api/test_shm.py``.  Workers never unlink; attached segments are
-closed when the job finishes (Python < 3.13 needs the
-``resource_tracker.unregister`` step below, or each worker's tracker would
-"helpfully" unlink segments the parent still owns).
+closed when the job finishes.
 
-The opt-in is ``REPRO_SHM=1`` or ``Study.parallel(shm=True)``; the default
-stays the plain pickled payload, which remains the only option for the
-serial and thread backends (no process boundary to cross).
+The process backend publishes every payload of at least
+:data:`~repro.api.backends.SHM_MIN_TASKS` tasks and pickles the rest.
+:meth:`ShmPlane.publish` checks the free space of ``/dev/shm`` first (a
+write into a full tmpfs raises ``SIGBUS``, which Python cannot catch) and
+returns the payload itself, to travel pickled, when room is short.
 """
 
 from __future__ import annotations
@@ -51,19 +51,21 @@ from ..core.task import Task
 from ..simulator.columnar import _VIEW_ATTR, ColumnarInstance
 from ..traces.model import Trace, TraceTask
 
-__all__ = ["SHM_ENV_VAR", "ShmHandle", "ShmPlane", "attach_payload", "shm_enabled"]
+__all__ = ["ShmHandle", "ShmPlane", "attach_payload"]
 
-#: Environment variable switching the process backend onto the shm plane.
-SHM_ENV_VAR = "REPRO_SHM"
+#: Mount point of POSIX shared memory, whose free space gates each publish.
+SHM_DIR = "/dev/shm"
 
 _FLOAT_BYTES = 8
 
 
-def shm_enabled(flag: bool | None = None) -> bool:
-    """Resolve the shm opt-in: an explicit flag wins, else ``REPRO_SHM``."""
-    if flag is not None:
-        return bool(flag)
-    return os.environ.get(SHM_ENV_VAR, "").strip() not in ("", "0")
+def _shm_free_bytes() -> float:
+    """Free bytes under :data:`SHM_DIR`; unbounded where it cannot be read."""
+    try:
+        stats = os.statvfs(SHM_DIR)
+    except (AttributeError, OSError):  # no statvfs (Windows) or no mount (macOS)
+        return math.inf
+    return stats.f_bavail * stats.f_frsize
 
 
 @dataclass(frozen=True)
@@ -132,8 +134,13 @@ class ShmPlane:
             atexit.register(_atexit_sweep)
         self._finalizer = weakref.finalize(self, _sweep_owned, self._names)
 
-    def publish(self, payload: "Trace | Instance") -> ShmHandle:
-        """Register ``payload`` (once) and return its wire handle."""
+    def publish(self, payload: "Trace | Instance") -> "ShmHandle | Trace | Instance":
+        """Register ``payload`` (once) and return its wire form.
+
+        The wire form is a :class:`ShmHandle`, or ``payload`` itself (to be
+        pickled by value) when ``/dev/shm`` has too little room left for
+        the segment.
+        """
         key = id(payload)
         entry = self._published.get(key)
         if entry is not None:
@@ -151,9 +158,11 @@ class ShmPlane:
             )
         n = columns.shape[1]
         data_bytes = columns.size * _FLOAT_BYTES
-        segment = shared_memory.SharedMemory(
-            create=True, size=max(data_bytes + len(tail), 1)
-        )
+        size = max(data_bytes + len(tail), 1)
+        if size > _shm_free_bytes():
+            obs.REGISTRY.inc("sweep_shm_fallback_total")
+            return payload
+        segment = shared_memory.SharedMemory(create=True, size=size)
         if columns.size:
             np.frombuffer(segment.buf, dtype=np.float64, count=columns.size)[
                 :

@@ -233,50 +233,29 @@ class Study:
         *,
         backend: "str | ExecutionBackend | None" = None,
         chunk_size: int | None = None,
-        shm: bool | None = None,
     ) -> "Study":
         """Fan trace jobs out over ``n_jobs`` workers of an execution backend.
 
-        ``backend`` is ``"threads"`` (the default — cheap to start, but the
-        pure-Python kernel is GIL-serialized), ``"processes"`` (true
-        multi-core sweeps; solver specs travel by registered name, so
-        portfolio modes work cross-process), ``"serial"``, or any
-        :class:`~repro.api.backends.ExecutionBackend` instance; the
-        ``REPRO_BACKEND`` environment variable overrides the default.
-        ``n_jobs`` defaults to the CPU count (capped by ``REPRO_NUM_JOBS``
-        and the job count); jobs are sharded into chunks of ``chunk_size``
-        (auto-sized when omitted) to amortize inter-process traffic.
-
-        ``shm=True`` ships payloads through the zero-copy shared-memory
-        job plane (:mod:`repro.api.shm`) instead of pickling them by value
-        — process backend only, implied when ``backend`` is omitted.  The
-        ``REPRO_SHM`` environment variable is the hands-off equivalent.
+        Without ``backend`` (or ``REPRO_BACKEND``), the sweep runs on
+        processes whenever its solver specs travel by registered name and
+        its machine model and arrivals pickle, and serially otherwise;
+        :func:`~repro.api.backends.plan_backend` decides and the reason is
+        counted in ``sweep_backend_total``.  ``backend`` is ``"processes"``,
+        ``"serial"``, or any :class:`~repro.api.backends.ExecutionBackend`
+        instance.  ``n_jobs`` defaults to the CPU count (capped by
+        ``REPRO_NUM_JOBS`` and the job count); jobs are sharded into chunks
+        of ``chunk_size`` (auto-sized when omitted) to amortize
+        inter-process traffic.  Payloads of at least
+        :data:`~repro.api.backends.SHM_MIN_TASKS` tasks reach process
+        workers through the zero-copy shared-memory job plane.
 
         Results are byte-identical to the sequential path, including their
-        order, whatever the backend, worker count, chunking or shm mode.
+        order, whatever the backend, worker count or chunking.
         ``parallel(1)`` switches back to sequential execution.
         """
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be at least 1, got {chunk_size!r}")
         self._n_jobs = default_jobs() if n_jobs is None else int(n_jobs)
-        if shm is not None:
-            from .backends import ProcessBackend
-
-            if backend is None:
-                backend = ProcessBackend(self._n_jobs, shm=shm)
-            elif isinstance(backend, str) and backend.lower() in (
-                "processes",
-                "process",
-                "multiprocessing",
-            ):
-                backend = ProcessBackend(self._n_jobs, shm=shm)
-            elif isinstance(backend, ProcessBackend):
-                backend = ProcessBackend(backend.n_jobs, shm=shm)
-            else:
-                raise ValueError(
-                    "shm= applies to the process backend only; pass "
-                    "backend='processes' (or a ProcessBackend instance)"
-                )
         self._backend = backend
         self._chunk_size = chunk_size
         return self

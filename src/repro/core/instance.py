@@ -57,6 +57,7 @@ class Instance:
         object.__setattr__(self, "tasks", tasks)
         object.__setattr__(self, "capacity", float(capacity))
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_has_releases", any(t.release > 0.0 for t in tasks))
 
     # ------------------------------------------------------------------ #
     # Container protocol
@@ -136,9 +137,10 @@ class Instance:
 
         Release-dated instances are scheduled by the streaming runtime
         (:mod:`repro.simulator.online`): the kernel gates each task's
-        transfer on its arrival and solvers re-rank the ready set.
+        transfer on its arrival and solvers re-rank the ready set.  Computed
+        once, when the instance is built.
         """
-        return any(t.release > 0.0 for t in self.tasks)
+        return self._has_releases
 
     def releases(self) -> Mapping[str, float]:
         """``{task name: release date}`` view of the arrival pattern."""

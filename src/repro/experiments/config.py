@@ -47,8 +47,8 @@ class ExperimentConfig:
     batch_size: int = 100
     #: Seed for workload generation.
     seed: int = 2019
-    #: Thread count for parallel ensemble sweeps (``None`` = sequential,
-    #: ``0``/``-1`` = one thread per CPU; see :meth:`repro.api.Study.parallel`).
+    #: Worker count for parallel ensemble sweeps (``None`` = sequential,
+    #: ``0``/``-1`` = one worker per CPU; see :meth:`repro.api.Study.parallel`).
     n_jobs: int | None = None
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..core.instance import Instance
 from ..core.schedule import Schedule, ScheduledTask
@@ -209,6 +208,10 @@ class DataTransferMilp:
 
         objective = np.zeros(n_vars)
         objective[l_var] = 1.0
+
+        # Imported here: scipy.optimize takes about 0.45 s to import, and
+        # every process that warms the solver registry would pay it.
+        from scipy.optimize import Bounds, LinearConstraint, milp
 
         options: dict[str, float] = {}
         if self.time_limit is not None:

@@ -8,8 +8,8 @@ to fill the ``selected_solver`` / ``cache_hit`` columns of a
 :class:`~repro.api.solve.SolveResult` fields.
 
 Outcomes are stored in a ``threading.local`` slot so one solver instance can
-be raced across Study worker threads without the attributions bleeding into
-each other.
+be shared across threads (the serving daemon's workers) without the
+attributions bleeding into each other.
 """
 
 from __future__ import annotations

@@ -4,8 +4,7 @@ No single heuristic dominates (Table 6), and when an instance's regime is
 unclear the cheapest hedge is to *race* a small portfolio of members and keep
 the virtual-best schedule.  :class:`PortfolioSolver` does exactly that:
 
-* members run concurrently on a thread pool (the same fan-out discipline as
-  :meth:`repro.api.Study.parallel`);
+* members run concurrently on a thread pool;
 * a shared :class:`Incumbent` tracks the best makespan seen so far, floored
   by the instance's OMIM/area lower bounds (:mod:`repro.core.bounds`);
 * kernel-backed members run under a :class:`PruningPolicy` wrapper that

@@ -14,11 +14,12 @@ endpoint.  Two faces over the same threads:
   ``chunk_size=1``, so concurrent sweeps interleave at job granularity
   instead of monopolizing the pool.
 
-Unlike :class:`~repro.api.backends.ThreadBackend`, which builds a pool per
-call, the executor here lives as long as the server; cancellation is
-cooperative — a backend view built with a ``cancel`` event stops launching
-new jobs (raising :class:`~repro.api.backends.StopSweep`) the moment the
-event is set, which is how past-deadline sweeps die mid-flight.
+It is the one thread-pool backend left: local sweeps run serially or on
+processes, while the daemon shares one set of threads across clients and
+the asyncio loop.  The executor lives as long as the server; cancellation
+is cooperative — a backend view built with a ``cancel`` event stops
+launching new jobs (raising :class:`~repro.api.backends.StopSweep`) the
+moment the event is set, which is how past-deadline sweeps die mid-flight.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 The central guarantee under test: the same ``Study`` produces a
 byte-identical ``ResultSet`` (after a JSON round-trip) on every backend,
-worker count and chunk size — serial is the reference, threads and
-processes must match it exactly, including portfolio modes, arrivals and
-batched runs.
+worker count and chunk size — serial is the reference, processes and the
+serving daemon's thread pool must match it exactly, including portfolio
+modes, arrivals and batched runs.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import pickle
 
 import pytest
 
+from repro import obs
 from repro.api import (
     NamedSpec,
     ProcessBackend,
@@ -20,10 +21,9 @@ from repro.api import (
     Study,
     SweepJob,
     SweepJobError,
-    ThreadBackend,
     named_spec,
+    plan_backend,
     register_solver,
-    resolve_backend,
     resolve_solvers,
     spec_to_wire,
     sweep_instances,
@@ -34,6 +34,7 @@ from repro.api import (
 from repro.api.backends import auto_chunk_size
 from repro.api.engine import default_jobs
 from repro.heuristics.dynamic import LargestCommunicationFirst
+from repro.serve import ServePool
 from repro.simulator.arrivals import PoissonArrivals
 from repro.traces.generator import synthetic_ensemble
 
@@ -41,6 +42,19 @@ from repro.traces.generator import synthetic_ensemble
 @pytest.fixture(scope="module")
 def ensemble():
     return synthetic_ensemble("mixed-intensity", processes=3, tasks_per_process=25, seed=11)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    """The serving daemon's shared thread pool: the one thread backend left."""
+    pool = ServePool(2)
+    yield pool
+    pool.shutdown()
+
+
+def backend_for(name, pool):
+    """A backend by test id: ``serve-pool`` is the daemon's shared pool."""
+    return pool.backend() if name == "serve-pool" else name
 
 
 def small_study(ensemble) -> Study:
@@ -79,41 +93,92 @@ class TestDefaultJobs:
 # --------------------------------------------------------------------- #
 # Backend selection
 # --------------------------------------------------------------------- #
-class TestResolveBackend:
-    def test_default_is_serial_without_parallelism(self):
-        assert isinstance(resolve_backend(None, n_jobs=None), SerialBackend)
-        assert isinstance(resolve_backend(None, n_jobs=1), SerialBackend)
+class TestPlanBackend:
+    @pytest.fixture(autouse=True)
+    def _no_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
 
-    def test_default_is_threads_with_parallelism(self):
-        backend = resolve_backend(None, n_jobs=4)
-        assert isinstance(backend, ThreadBackend)
+    def test_default_is_serial_without_parallelism(self):
+        for n_jobs in (None, 1):
+            backend, reason = plan_backend(None, n_jobs=n_jobs)
+            assert isinstance(backend, SerialBackend)
+            assert reason == "one worker"
+
+    def test_default_is_processes_with_parallelism(self):
+        backend, reason = plan_backend(None, n_jobs=4, solver_specs=("LCMR", "OS"))
+        assert isinstance(backend, ProcessBackend)
         assert backend.n_jobs == 4
+        assert reason == "jobs cross a process boundary"
+
+    def test_unpicklable_solver_plans_serial_and_names_it(self):
+        backend, reason = plan_backend(
+            None, n_jobs=4, solver_specs=("OS", LargestCommunicationFirst())
+        )
+        assert isinstance(backend, SerialBackend)
+        assert reason.startswith("solver instance LargestCommunicationFirst(")
+        assert reason.endswith("cannot cross a process boundary")
+
+    def test_unpicklable_machine_or_arrivals_plan_serial(self):
+        backend, reason = plan_backend(None, n_jobs=4, arrivals=[lambda: 0.0])
+        assert isinstance(backend, SerialBackend)
+        assert reason.startswith("arrivals") and "cannot be pickled" in reason
 
     def test_names_and_aliases(self):
-        assert isinstance(resolve_backend("serial"), SerialBackend)
-        assert isinstance(resolve_backend("Threads", n_jobs=2), ThreadBackend)
-        assert isinstance(resolve_backend("processes", n_jobs=2), ProcessBackend)
-        assert isinstance(resolve_backend("multiprocessing"), ProcessBackend)
+        assert isinstance(plan_backend("serial")[0], SerialBackend)
+        assert isinstance(plan_backend("Sequential")[0], SerialBackend)
+        assert isinstance(plan_backend("processes", n_jobs=2)[0], ProcessBackend)
+        assert isinstance(plan_backend("multiprocessing")[0], ProcessBackend)
+        assert plan_backend("processes", n_jobs=2)[1] == "requested"
+
+    @pytest.mark.parametrize("name", ["threads", "thread", "threading", "gpu"])
+    def test_unknown_name(self, name):
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            plan_backend(name, n_jobs=2)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "processes")
-        assert isinstance(resolve_backend(None, n_jobs=4), ProcessBackend)
+        backend, reason = plan_backend(None, n_jobs=4)
+        assert isinstance(backend, ProcessBackend)
+        assert reason == "REPRO_BACKEND"
 
     def test_explicit_backend_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "processes")
-        assert isinstance(resolve_backend("serial"), SerialBackend)
+        assert isinstance(plan_backend("serial")[0], SerialBackend)
 
-    def test_instance_passthrough(self):
-        backend = ThreadBackend(2)
-        assert resolve_backend(backend) is backend
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            resolve_backend("gpu")
+    def test_instance_passthrough(self, pool):
+        backend = pool.backend()
+        assert plan_backend(backend, n_jobs=8) == (backend, "requested")
 
     def test_bad_type(self):
         with pytest.raises(TypeError):
-            resolve_backend(42)
+            plan_backend(42)
+
+
+class TestDefaultSweepBackend:
+    """What a default ``Study().parallel(n)`` sweep runs on, and the count."""
+
+    @staticmethod
+    def counted(backend, reason):
+        return obs.REGISTRY.value("sweep_backend_total", backend=backend, reason=reason)
+
+    def test_default_parallel_runs_on_processes(self, ensemble, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        reference = small_study(ensemble).run().to_json()
+        before = self.counted("processes", "jobs cross a process boundary")
+        assert small_study(ensemble).parallel(2).run().to_json() == reference
+        assert self.counted("processes", "jobs cross a process boundary") == before + 1
+
+    def test_unpicklable_solver_runs_serially_and_counts_why(self, ensemble, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+
+        def build():
+            return Study().traces(ensemble).capacities(1.25).solvers(LargestCommunicationFirst())
+
+        reference = build().run().to_json()
+        reason = "solver instance LargestCommunicationFirst(name='LCMR', category='dynamic') cannot cross a process boundary"
+        before = self.counted("serial", reason)
+        assert build().parallel(2).run().to_json() == reference
+        assert self.counted("serial", reason) == before + 1
 
 
 class TestAutoChunkSize:
@@ -188,20 +253,20 @@ def run_on(study_builder, backend, n_jobs=2, chunk_size=None):
 
 
 class TestBackendEquivalence:
-    def test_heuristic_sweep(self, ensemble):
+    def test_heuristic_sweep(self, ensemble, pool):
         reference = small_study(ensemble).run().to_json()
-        assert run_on(lambda: small_study(ensemble), "threads") == reference
+        assert run_on(lambda: small_study(ensemble), pool.backend()) == reference
         assert run_on(lambda: small_study(ensemble), "processes") == reference
 
-    def test_chunking_does_not_change_results(self, ensemble):
+    def test_chunking_does_not_change_results(self, ensemble, pool):
         reference = small_study(ensemble).run().to_json()
         for chunk_size in (1, 2, 5):
             assert (
-                run_on(lambda: small_study(ensemble), "threads", chunk_size=chunk_size)
+                run_on(lambda: small_study(ensemble), pool.backend(), chunk_size=chunk_size)
                 == reference
             )
 
-    def test_portfolio_modes(self, ensemble, tmp_path):
+    def test_portfolio_modes(self, ensemble, pool, tmp_path):
         def build(tag):
             return (
                 Study()
@@ -213,10 +278,10 @@ class TestBackendEquivalence:
             )
 
         reference = build("serial").run().to_json()
-        assert run_on(lambda: build("threads"), "threads") == reference
+        assert run_on(lambda: build("serve-pool"), pool.backend()) == reference
         assert run_on(lambda: build("processes"), "processes") == reference
 
-    def test_arrival_sweep(self, ensemble):
+    def test_arrival_sweep(self, ensemble, pool):
         def build():
             return (
                 Study()
@@ -227,10 +292,10 @@ class TestBackendEquivalence:
             )
 
         reference = build().run().to_json()
-        assert run_on(build, "threads") == reference
+        assert run_on(build, pool.backend()) == reference
         assert run_on(build, "processes") == reference
 
-    def test_batched_runs(self, ensemble):
+    def test_batched_runs(self, ensemble, pool):
         def build():
             return (
                 Study()
@@ -241,13 +306,13 @@ class TestBackendEquivalence:
             )
 
         reference = build().run().to_json()
-        assert run_on(build, "threads") == reference
+        assert run_on(build, pool.backend()) == reference
         assert run_on(build, "processes") == reference
 
-    def test_instance_jobs(self, ensemble):
+    def test_instance_jobs(self, ensemble, pool):
         instances = [trace.to_instance(trace.min_capacity_bytes * 1.5) for trace in ensemble]
         reference = sweep_instances(instances, solver_specs=("LCMR", "OS")).to_json()
-        for backend in ("threads", "processes"):
+        for backend in (pool.backend(), "processes"):
             assert (
                 sweep_instances(
                     instances, solver_specs=("LCMR", "OS"), n_jobs=2, backend=backend
@@ -294,29 +359,28 @@ class TestWorkerProvisioning:
         assert started == [1]
 
     @pytest.mark.parametrize("spill", [False, True])
-    def test_thread_pool_is_capped_at_the_chunk_count(self, ensemble, monkeypatch, spill):
-        started = _recording(monkeypatch, "ThreadPoolExecutor")
+    def test_process_pool_is_capped_at_the_chunk_count(self, ensemble, monkeypatch, spill):
+        started = _recording(monkeypatch, "ProcessPoolExecutor")
         traces = list(ensemble)[:2]
         study = Study().traces(*traces).capacities(1.25).solvers("OS").spill(spill)
         reference = study.run().to_json()
-        assert study.parallel(8, backend="threads", chunk_size=1).run().to_json() == reference
+        assert study.parallel(8, backend="processes", chunk_size=1).run().to_json() == reference
         assert started == [2]
-        # One chunk runs in the calling thread: no pool at all.
         started.clear()
-        assert study.parallel(8, backend="threads", chunk_size=2).run().to_json() == reference
-        assert started == []
+        assert study.parallel(8, backend="processes", chunk_size=2).run().to_json() == reference
+        assert started == [1]
 
 
 # --------------------------------------------------------------------- #
 # Progress reporting
 # --------------------------------------------------------------------- #
 class TestProgress:
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
-    def test_progress_reaches_total(self, ensemble, backend):
+    @pytest.mark.parametrize("backend", ["serial", "serve-pool", "processes"])
+    def test_progress_reaches_total(self, ensemble, pool, backend):
         seen = []
         (
             small_study(ensemble)
-            .parallel(2, backend=backend, chunk_size=1)
+            .parallel(2, backend=backend_for(backend, pool), chunk_size=1)
             .on_progress(lambda done, total: seen.append((done, total)))
             .run()
         )
@@ -361,20 +425,22 @@ class TestWorkerFailures:
         assert "sweep job" in message and "failed" in message
         assert "synthetic-mixed-intensity" in message
 
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
-    def test_in_process_backends_propagate_the_original_exception(self, ensemble, backend):
+    @pytest.mark.parametrize("backend", ["serial", "serve-pool"])
+    def test_in_process_backends_propagate_the_original_exception(
+        self, ensemble, pool, backend
+    ):
         # In-process execution must keep raising the solver's own exception
-        # (type and object), exactly like the pre-backend thread pool did;
-        # only the process boundary needs the picklable wrapper.
+        # (type and object); only the process boundary needs the picklable
+        # wrapper.
         study = Study().traces(ensemble).capacities(1.25).solvers("test.crash")
         with pytest.raises(RuntimeError, match="intentional crash") as excinfo:
-            study.parallel(2, backend=backend, chunk_size=1).run()
+            study.parallel(2, backend=backend_for(backend, pool), chunk_size=1).run()
         assert not isinstance(excinfo.value, SweepJobError)
 
-    def test_bad_chunk_size_is_rejected_early(self, ensemble):
+    def test_bad_chunk_size_is_rejected_early(self, ensemble, pool):
         with pytest.raises(ValueError, match="chunk_size"):
             Study().parallel(2, chunk_size=0)
-        for backend in (ThreadBackend(2), ProcessBackend(2)):
+        for backend in (pool.backend(), ProcessBackend(2)):
             with pytest.raises(ValueError, match="chunk_size"):
                 sweep_traces(
                     [ensemble], capacity_factors=(1.0,), backend=backend, chunk_size=-1
@@ -451,21 +517,22 @@ class TestSweepJobErrorPickling:
         assert "intentional crash" in str(rehopped)
 
 
-class TestResolveBackendPrecedence:
+class TestPlanBackendPrecedence:
     """The documented chain in one place: explicit arg > env > n_jobs default."""
 
-    def test_full_precedence_chain(self, monkeypatch):
+    def test_full_precedence_chain(self, monkeypatch, pool):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        # 1. n_jobs alone picks the parallel default (threads) or serial.
-        assert isinstance(resolve_backend(None, n_jobs=4), ThreadBackend)
-        assert isinstance(resolve_backend(None, n_jobs=1), SerialBackend)
+        # 1. n_jobs alone picks the parallel default (processes) or serial.
+        assert isinstance(plan_backend(None, n_jobs=4)[0], ProcessBackend)
+        assert isinstance(plan_backend(None, n_jobs=1)[0], SerialBackend)
         # 2. The env var overrides the n_jobs default...
         monkeypatch.setenv("REPRO_BACKEND", "processes")
-        assert isinstance(resolve_backend(None, n_jobs=4), ProcessBackend)
-        assert isinstance(resolve_backend(None, n_jobs=1), ProcessBackend)
+        assert isinstance(plan_backend(None, n_jobs=4)[0], ProcessBackend)
+        assert isinstance(plan_backend(None, n_jobs=1)[0], ProcessBackend)
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        assert isinstance(plan_backend(None, n_jobs=4)[0], SerialBackend)
         # 3. ...and an explicit argument overrides the env var.
-        assert isinstance(resolve_backend("threads", n_jobs=4), ThreadBackend)
-        assert isinstance(resolve_backend("serial"), SerialBackend)
+        assert isinstance(plan_backend("processes", n_jobs=4)[0], ProcessBackend)
         # Live backend instances pass through untouched, beating everything.
-        explicit = ThreadBackend(2)
-        assert resolve_backend(explicit, n_jobs=8) is explicit
+        explicit = pool.backend()
+        assert plan_backend(explicit, n_jobs=8)[0] is explicit

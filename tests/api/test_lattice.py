@@ -1,8 +1,9 @@
 """Backend × mode lattice: one ``to_json()`` byte string for every sweep.
 
 Every sweep runs through the one streaming orchestrator, whatever the
-backend (serial, threads, processes with and without the shared-memory job
-plane, the serving daemon's shared pool) and whatever the mode (in memory,
+backend (serial, processes with pickled payloads, processes with the
+shared-memory job plane forced on through ``SHM_MIN_TASKS``, the serving
+daemon's shared pool) and whatever the mode (in memory,
 spilled to JSONL, checkpointed then resumed from disk, sharded then
 merged).  All of them must reproduce the plain serial sweep byte for byte,
 and that sweep must reproduce the pinned digest of the 1.x output.
@@ -15,14 +16,15 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.api import (
     ProcessBackend,
     SerialBackend,
     Study,
     SweepCheckpoint,
-    ThreadBackend,
     merge_shards_to_result,
 )
+from repro.api import backends as backends_module
 from repro.api.sharding import ShardWriter
 from repro.serve import ServePool
 from repro.traces.generator import synthetic_trace
@@ -34,11 +36,12 @@ PINNED_SHA256 = "5abc072b9491a95a8b2bc0f7952ab31c7a08538f4446e81f5303430c05cb004
 
 BACKENDS = {
     "serial": lambda pool: SerialBackend(),
-    "threads": lambda pool: ThreadBackend(2),
-    "processes": lambda pool: ProcessBackend(2, shm=False),
-    "processes-shm": lambda pool: ProcessBackend(2, shm=True),
+    "processes": lambda pool: ProcessBackend(2),
+    "processes-shm": lambda pool: ProcessBackend(2),
     "serve-pool": lambda pool: pool.backend(),
 }
+#: ``SHM_MIN_TASKS`` per backend: the process rows pin each wire form.
+SHM_MIN_TASKS = {"processes": 10**9, "processes-shm": 1}
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +77,12 @@ def test_serial_sweep_matches_the_pinned_output(traces):
 @pytest.mark.parametrize("mode", ["plain", "spill", "checkpoint", "shard"])
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_every_backend_and_mode_gives_the_same_bytes(
-    traces, reference, pool, tmp_path, backend, mode
+    traces, reference, pool, tmp_path, monkeypatch, backend, mode
 ):
+    if backend in SHM_MIN_TASKS:
+        monkeypatch.setattr(backends_module, "SHM_MIN_TASKS", SHM_MIN_TASKS[backend])
+    segments = obs.REGISTRY.counter_total("sweep_shm_segments_total")
+
     def study() -> Study:
         return build(traces).parallel(2, backend=BACKENDS[backend](pool))
 
@@ -103,3 +110,5 @@ def test_every_backend_and_mode_gives_the_same_bytes(
         outputs = [merge_shards_to_result(paths).to_json()]
     for output in outputs:
         assert output == reference
+    published = obs.REGISTRY.counter_total("sweep_shm_segments_total") > segments
+    assert published == (backend == "processes-shm")

@@ -11,12 +11,25 @@ import warnings
 import pytest
 
 from repro.api import StopSweep, Study, guard_progress
+from repro.serve import ServePool
 from repro.traces.generator import synthetic_ensemble
 
 
 @pytest.fixture(scope="module")
 def ensemble():
     return synthetic_ensemble("balanced", processes=3, tasks_per_process=20, seed=5)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    pool = ServePool(2)
+    yield pool
+    pool.shutdown()
+
+
+def backend_for(name, pool):
+    """``serve-pool`` is the serving daemon's shared thread pool."""
+    return pool.backend() if name == "serve-pool" else name
 
 
 def study(ensemble) -> Study:
@@ -60,8 +73,8 @@ class TestGuardUnit:
 
 
 class TestGuardInSweeps:
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
-    def test_broken_callback_warns_but_the_sweep_completes(self, ensemble, backend):
+    @pytest.mark.parametrize("backend", ["serial", "serve-pool"])
+    def test_broken_callback_warns_but_the_sweep_completes(self, ensemble, pool, backend):
         ticks = []
 
         def broken(done, total):
@@ -71,7 +84,7 @@ class TestGuardInSweeps:
         with pytest.warns(RuntimeWarning, match="progress bar fell over"):
             results = (
                 study(ensemble)
-                .parallel(2, backend=backend, chunk_size=1)
+                .parallel(2, backend=backend_for(backend, pool), chunk_size=1)
                 .on_progress(broken)
                 .run()
             )
@@ -87,8 +100,8 @@ class TestGuardInSweeps:
             )
         assert observed.to_json() == study(ensemble).run().to_json()
 
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
-    def test_stop_sweep_aborts_the_sweep(self, ensemble, backend):
+    @pytest.mark.parametrize("backend", ["serial", "serve-pool"])
+    def test_stop_sweep_aborts_the_sweep(self, ensemble, pool, backend):
         def abort_after_first(done, total):
             if done >= 1:
                 raise StopSweep("deadline")
@@ -96,7 +109,7 @@ class TestGuardInSweeps:
         with pytest.raises(StopSweep):
             (
                 study(ensemble)
-                .parallel(2, backend=backend, chunk_size=1)
+                .parallel(2, backend=backend_for(backend, pool), chunk_size=1)
                 .on_progress(abort_after_first)
                 .run()
             )

@@ -5,9 +5,12 @@ Round-trips :class:`~repro.traces.Trace` and
 ``ShmPlane.publish`` → ``attach_payload`` asserting full equality and a
 pre-seeded columnar view, checks the wire handle really is tiny, and —
 the part that matters operationally — proves ``/dev/shm`` ends every
-scenario clean: normal sweeps, failing jobs, streaming chunk release,
-and a process killed by SIGTERM mid-publish (where the resource tracker
-is the last line of defence).
+scenario clean: normal sweeps, failing jobs, streaming chunk release, a
+full ``/dev/shm`` (the payload ships pickled instead), a SIGKILLed
+worker, and a process killed by SIGTERM mid-publish (where the resource
+tracker is the last line of defence).  Process sweeps publish only
+payloads of at least ``SHM_MIN_TASKS`` tasks; the tests patch that
+constant in the parent to force either wire form.
 """
 
 from __future__ import annotations
@@ -23,8 +26,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import ProcessBackend, Study, SweepJob, SweepJobError
-from repro.api.shm import ShmPlane, attach_payload, shm_enabled
+from repro import obs
+from repro.api import (
+    ProcessBackend,
+    Study,
+    SweepJob,
+    SweepJobError,
+    register_solver,
+    unregister_solver,
+)
+from repro.api import backends as backends_module
+from repro.api import shm as shm_module
+from repro.api.shm import ShmHandle, ShmPlane, attach_payload
 from repro.core import Instance, Task
 from repro.simulator import largest_communication
 from repro.simulator.columnar import columnar_view
@@ -49,6 +62,16 @@ def clean_shm():
     yield
     leaked = shm_entries() - before
     assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+
+
+@pytest.fixture()
+def force_shm(monkeypatch):
+    """Publish every process-sweep payload, whatever its size."""
+    monkeypatch.setattr(backends_module, "SHM_MIN_TASKS", 1)
+
+
+def segments_published() -> float:
+    return obs.REGISTRY.counter_total("sweep_shm_segments_total")
 
 
 # --------------------------------------------------------------------------- #
@@ -138,38 +161,37 @@ def test_publish_dedupes_and_refcounts(clean_shm):
         plane.close()
 
 
-def test_shm_enabled_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_SHM", raising=False)
-    assert not shm_enabled()
-    monkeypatch.setenv("REPRO_SHM", "1")
-    assert shm_enabled()
-    monkeypatch.setenv("REPRO_SHM", "0")
-    assert not shm_enabled()
-    assert shm_enabled(True)  # the explicit flag wins over the environment
-    monkeypatch.setenv("REPRO_SHM", "1")
-    assert not shm_enabled(False)
-
-
 # --------------------------------------------------------------------------- #
 # Sweep integration
 # --------------------------------------------------------------------------- #
-def sweep_study(shm: bool | None = None) -> Study:
+def sweep_study() -> Study:
     trace = synthetic_trace("balanced", tasks=40, seed=9)
-    study = Study().traces(trace).capacities(1.0, 1.5).solvers("OS", "LCMR")
-    if shm is None:
-        return study
-    return study.parallel(2, backend="processes", shm=shm)
+    return Study().traces(trace).capacities(1.0, 1.5).solvers("OS", "LCMR")
 
 
-def test_shm_sweep_is_byte_identical_to_serial(clean_shm):
+def test_shm_sweep_is_byte_identical_to_serial(clean_shm, monkeypatch):
     reference = sweep_study().run().to_json()
-    assert sweep_study(shm=True).run().to_json() == reference
-    assert sweep_study(shm=False).run().to_json() == reference
+    for min_tasks, published in ((1, True), (10**9, False)):
+        monkeypatch.setattr(backends_module, "SHM_MIN_TASKS", min_tasks)
+        before = segments_published()
+        assert sweep_study().parallel(2, backend="processes").run().to_json() == reference
+        assert (segments_published() > before) == published
 
 
-def test_env_shm_sweep_with_indexed_selection_is_byte_identical(clean_shm, monkeypatch):
-    """A ``REPRO_SHM=1`` process sweep through the indexed selection loop
-    is byte-identical to the serial sweep."""
+@pytest.mark.parametrize("offset,published", [(-1, False), (0, True)])
+def test_default_threshold_decides_the_wire_form(clean_shm, offset, published):
+    tasks = backends_module.SHM_MIN_TASKS + offset
+    trace = synthetic_trace("balanced", tasks=tasks, seed=3)
+    study = Study().traces(trace).capacities(1.5).solvers("OS")
+    reference = study.run().to_json()
+    before = segments_published()
+    assert study.parallel(2, backend="processes").run().to_json() == reference
+    assert (segments_published() > before) == published
+
+
+def test_forced_shm_sweep_with_indexed_selection_is_byte_identical(clean_shm, force_shm):
+    """A process sweep publishing its payload, through the indexed
+    selection loop, is byte-identical to the serial sweep."""
     trace = synthetic_trace("mixed-intensity", tasks=60, seed=4)
     study = (
         Study()
@@ -180,12 +202,13 @@ def test_env_shm_sweep_with_indexed_selection_is_byte_identical(clean_shm, monke
     )
     serial = study.run()
     assert set(serial.column("engine")) == {"columnar"}
-    monkeypatch.setenv("REPRO_SHM", "1")
+    before = segments_published()
     parallel = study.parallel(2, backend="processes").run()
     assert parallel.to_json() == serial.to_json()
+    assert segments_published() > before
 
 
-def test_failing_jobs_do_not_leak_segments(clean_shm):
+def test_failing_jobs_do_not_leak_segments(clean_shm, force_shm):
     # capacity factor 0.5 makes every lane infeasible: the jobs fail inside
     # the workers, the backend re-raises, and the plane must still unlink.
     trace = synthetic_trace("balanced", tasks=30, seed=2)
@@ -194,20 +217,20 @@ def test_failing_jobs_do_not_leak_segments(clean_shm):
         .traces(trace)
         .capacities(0.5)
         .solvers("OS")
-        .parallel(2, backend="processes", shm=True)
+        .parallel(2, backend="processes")
     )
     with pytest.raises(SweepJobError):
         study.run()
 
 
-def test_streaming_chunks_release_segments_and_match_run(clean_shm):
+def test_streaming_chunks_release_segments_and_match_run(clean_shm, force_shm):
     traces = [synthetic_trace("balanced", tasks=25, seed=s) for s in (1, 2, 3, 4)]
     jobs = [
         SweepJob(payload=trace, solver_specs=("OS",), capacity_factors=(1.0, 1.5))
         for trace in traces
     ]
     reference = [job.run() for job in jobs]
-    streamed = ProcessBackend(2, shm=True).stream_chunks(
+    streamed = ProcessBackend(2).stream_chunks(
         iter((index, [job]) for index, job in enumerate(jobs))
     )
     by_tag = dict(streamed)
@@ -217,6 +240,77 @@ def test_streaming_chunks_release_segments_and_match_run(clean_shm):
     assert [list(map(repr, records)) for records in flat] == [
         list(map(repr, records)) for records in reference
     ]
+
+
+# --------------------------------------------------------------------------- #
+# A full /dev/shm: ship the pickled payload instead (a write into a full
+# tmpfs through mmap raises SIGBUS, which Python cannot catch)
+# --------------------------------------------------------------------------- #
+class _FullStatvfs:
+    f_bavail = 0
+    f_frsize = 4096
+
+
+def test_full_dev_shm_ships_pickled_payloads(clean_shm, force_shm, monkeypatch):
+    reference = sweep_study().run().to_json()
+    monkeypatch.setattr(shm_module.os, "statvfs", lambda path: _FullStatvfs())
+    segments = segments_published()
+    fallbacks = obs.REGISTRY.counter_total("sweep_shm_fallback_total")
+    assert sweep_study().parallel(2, backend="processes").run().to_json() == reference
+    assert segments_published() == segments
+    assert obs.REGISTRY.counter_total("sweep_shm_fallback_total") == fallbacks + 1
+
+
+def test_publish_falls_back_to_the_payload_when_short_of_room(clean_shm, monkeypatch):
+    trace = synthetic_trace("balanced", tasks=30, seed=1)
+    with ShmPlane() as plane:
+        assert isinstance(plane.publish(trace), ShmHandle)
+        monkeypatch.setattr(shm_module.os, "statvfs", lambda path: _FullStatvfs())
+        other = synthetic_trace("balanced", tasks=30, seed=2)
+        assert plane.publish(other) is other
+
+
+# --------------------------------------------------------------------------- #
+# A SIGKILLed worker: a named error, no hang, no leaked segment
+# --------------------------------------------------------------------------- #
+_PARENT_PID = os.getpid()
+
+
+class _KillWorkerSolver:
+    """Kills the process running it, unless that is the test process."""
+
+    name = "test.kill-worker"
+    category = "static"
+
+    def schedule(self, instance):
+        if os.getpid() != _PARENT_PID:
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise RuntimeError("the kill-worker solver ran in the parent")
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("the sweep hung after its worker was killed")
+
+
+def test_killed_worker_raises_a_named_error_without_hanging(clean_shm, force_shm):
+    register_solver("test.kill-worker", category="static", replace=True)(_KillWorkerSolver)
+    traces = [synthetic_trace("balanced", tasks=30, seed=s) for s in range(4)]
+    study = (
+        Study()
+        .traces(*traces)
+        .capacities(1.25)
+        .solvers("OS", "test.kill-worker")
+        .parallel(2, backend="processes", chunk_size=1)
+    )
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(120)
+    try:
+        with pytest.raises(RuntimeError, match="worker pool died unexpectedly"):
+            study.run()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        unregister_solver("test.kill-worker")
 
 
 # --------------------------------------------------------------------------- #

@@ -168,7 +168,10 @@ class TestStudy:
         sequential = shape().run()
         parallel = shape().parallel(4).run()
         assert parallel == sequential
-        assert parallel.to_columns() == sequential.to_columns()
+        # Byte-level: the default parallel backend is processes, whose NaN
+        # cells are unpickled copies, so list equality (which only matches
+        # NaN by identity) cannot compare columns.
+        assert parallel.to_json() == sequential.to_json()
 
     def test_custom_solver_shows_up_in_study_run(self, traces):
         @register_solver(aliases=("LONGEST-TOTAL-TIME",))

@@ -26,6 +26,7 @@ from repro.api import (
 )
 from repro.api.results import decode_record_line, encode_record_line
 from repro.api.sharding import ShardWriter
+from repro.serve import ServePool
 from repro.traces import TraceStream, synthetic_ensemble, synthetic_stream
 
 SWEEP = dict(capacity_factors=(1.25, 1.75), solver_specs=("OS", "LCMR"), validate=False)
@@ -218,9 +219,16 @@ class TestSweepSpill:
         monkeypatch.setenv("REPRO_SPILL_THRESHOLD", "1000000")
         assert type(sweep_traces([stream], **SWEEP)) is ResultSet
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "serve-pool", "processes"])
     def test_streaming_is_byte_identical_across_backends(self, stream, reference, backend):
-        result = sweep_traces([stream], spill=True, backend=backend, n_jobs=2, **SWEEP)
+        if backend == "serve-pool":
+            pool = ServePool(2)
+            try:
+                result = sweep_traces([stream], spill=True, backend=pool.backend(), **SWEEP)
+            finally:
+                pool.shutdown()
+        else:
+            result = sweep_traces([stream], spill=True, backend=backend, n_jobs=2, **SWEEP)
         assert result.to_csv() == reference.to_csv()
         assert result.to_jsonl() == reference.to_jsonl()
 

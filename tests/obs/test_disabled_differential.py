@@ -8,6 +8,7 @@ import pytest
 
 import repro.obs as obs
 from repro.api import Study
+from repro.serve import ServePool
 from repro.traces.generator import synthetic_stream
 
 
@@ -19,16 +20,22 @@ def sweep(*, engine, backend, n_jobs, trace):
         .solvers("LCMR", "MAMR", "OOMAMR")
         .engine(engine)
     )
-    if backend != "serial":
-        study.parallel(n_jobs, backend=backend, chunk_size=2)
     if trace:
         study.trace()
+    if backend == "serve-pool":
+        pool = ServePool(n_jobs)
+        try:
+            return study.parallel(n_jobs, backend=pool.backend(), chunk_size=2).run().to_json()
+        finally:
+            pool.shutdown()
+    if backend != "serial":
+        study.parallel(n_jobs, backend=backend, chunk_size=2)
     return study.run().to_json()
 
 
 class TestByteIdentity:
     @pytest.mark.parametrize("engine", ["object", "columnar"])
-    @pytest.mark.parametrize("backend,n_jobs", [("serial", 1), ("threads", 2)])
+    @pytest.mark.parametrize("backend,n_jobs", [("serial", 1), ("serve-pool", 2)])
     def test_tracing_never_changes_results(self, engine, backend, n_jobs):
         off = sweep(engine=engine, backend=backend, n_jobs=n_jobs, trace=False)
         on = sweep(engine=engine, backend=backend, n_jobs=n_jobs, trace=True)

@@ -11,6 +11,7 @@ from repro.__main__ import main
 from repro.api import Study, solve
 from repro.core import Instance, tasks_from_pairs
 from repro.obs.export import validate_chrome_trace
+from repro.serve import ServePool
 from repro.traces.generator import synthetic_stream
 
 
@@ -88,10 +89,14 @@ class TestStudyTrace:
         assert first.to_json() == second.to_json()
 
 
-class TestThreadBackend:
+class TestServePoolBackend:
     def test_spans_from_worker_threads_are_collected(self, tmp_path):
         path = tmp_path / "threads.json"
-        small_study("threads").trace(path).run()
+        pool = ServePool(2)
+        try:
+            small_study(pool.backend()).trace(path).run()
+        finally:
+            pool.shutdown()
         payload = json.loads(path.read_text())
         info = validate_chrome_trace(payload)
         names = {e["name"] for e in payload["traceEvents"]}
