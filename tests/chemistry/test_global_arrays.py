@@ -1,5 +1,7 @@
 """Tests for the Global-Arrays-like distributed tensor model."""
 
+import pickle
+
 import pytest
 
 from repro.chemistry import DistributedTensor, Tiling
@@ -51,3 +53,69 @@ class TestDistributedTensor:
             DistributedTensor(name="x", tilings=(), processes=2)
         with pytest.raises(ValueError):
             DistributedTensor(name="x", tilings=(Tiling((1,)),), processes=0)
+
+
+class TestBadBlocks:
+    """Bad blocks raise the same errors before and after valid blocks are seen."""
+
+    BAD = [
+        ((0,), ValueError, "block index must have 2 components, got 1"),
+        ((0, 0, 0), ValueError, "block index must have 2 components, got 3"),
+        ((2, 0), IndexError, r"block index \(2, 0\) out of range for t2"),
+        ((0, 1), IndexError, r"block index \(0, 1\) out of range for t2"),
+        ((-1, 0), IndexError, r"block index \(-1, 0\) out of range for t2"),
+    ]
+
+    @staticmethod
+    def warm(tensor):
+        for block in tensor.blocks():
+            for rank in range(tensor.processes):
+                tensor.request(block, from_rank=rank)
+
+    @pytest.mark.parametrize("warm_first", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize(("block", "error", "message"), BAD)
+    def test_every_accessor_rejects_a_bad_block(self, tensor, warm_first, block, error, message):
+        if warm_first:
+            self.warm(tensor)
+        for accessor in (
+            lambda b: tensor.request(b, from_rank=0),
+            tensor.block_bytes,
+            tensor.block_shape,
+            tensor.owner,
+        ):
+            with pytest.raises(error, match=message):
+                accessor(block)
+            with pytest.raises(error, match=message):
+                accessor(list(block))
+
+    def test_a_rejected_block_is_still_rejected_the_second_time(self, tensor):
+        for _ in range(2):
+            with pytest.raises(IndexError):
+                tensor.request((2, 0), from_rank=0)
+        self.warm(tensor)
+        with pytest.raises(IndexError):
+            tensor.request((2, 0), from_rank=0)
+
+    def test_requests_are_fresh_and_agree_with_the_accessors(self, tensor):
+        self.warm(tensor)
+        for block in tensor.blocks():
+            for rank in range(tensor.processes):
+                first = tensor.request(list(block), from_rank=rank)
+                second = tensor.request(block, from_rank=rank)
+                assert first == second and first is not second
+                assert first.block == block
+                assert first.bytes == tensor.block_bytes(block)
+                assert first.local == (tensor.owner(block) == rank)
+
+    def test_use_does_not_change_equality_hash_repr_or_pickle(self, tensor):
+        cold = DistributedTensor(
+            name="t2", tilings=(Tiling((2, 3)), Tiling((4,))), processes=3, element_bytes=8
+        )
+        cold_pickle = pickle.dumps(cold)
+        self.warm(tensor)
+        assert tensor == cold and hash(tensor) == hash(cold)
+        assert repr(tensor) == repr(cold)
+        assert pickle.dumps(tensor) == cold_pickle
+        clone = pickle.loads(cold_pickle)
+        assert clone == tensor
+        assert clone.request((1, 0), from_rank=1) == tensor.request((1, 0), from_rank=1)
