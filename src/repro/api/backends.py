@@ -512,6 +512,7 @@ def plan_backend(
     backend: "str | ExecutionBackend | None" = None,
     *,
     n_jobs: int | None = None,
+    job_total: int | None = None,
     solver_specs: Sequence = (),
     machine=None,
     arrivals=None,
@@ -520,11 +521,13 @@ def plan_backend(
 
     An explicit ``backend`` (name or instance) wins, then the
     ``REPRO_BACKEND`` environment variable.  Otherwise a sweep asking for
-    more than one worker runs on :class:`ProcessBackend` when every solver
-    spec has a wire form (:func:`~repro.api.registry.spec_to_wire`) and
-    ``machine`` and ``arrivals`` pickle, and on :class:`SerialBackend`
-    with a reason naming the blocker when not.  Payloads are trial-pickled
-    later, by the process backend, which raises a clear ``TypeError``.
+    more than one worker runs on :class:`ProcessBackend` when it has more
+    than one job (``job_total``, after sharding; ``None`` when unknown),
+    every solver spec has a wire form
+    (:func:`~repro.api.registry.spec_to_wire`) and ``machine`` and
+    ``arrivals`` pickle, and on :class:`SerialBackend` with a reason naming
+    the blocker when not.  Payloads are trial-pickled later, by the process
+    backend, which raises a clear ``TypeError``.
     """
     if isinstance(backend, str):
         return _named_backend(backend, n_jobs), "requested"
@@ -540,6 +543,9 @@ def plan_backend(
         return _named_backend(env, n_jobs), BACKEND_ENV_VAR
     if n_jobs is None or _effective_workers(n_jobs, None) <= 1:
         return SerialBackend(), "one worker"
+    if job_total is not None and job_total <= 1:
+        # A pool's start-up costs more than the one job it would run.
+        return SerialBackend(), "one job"
     blocker = _process_blocker(solver_specs, machine, arrivals)
     if blocker is not None:
         return SerialBackend(), blocker

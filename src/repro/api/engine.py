@@ -630,10 +630,6 @@ def _run_sweep(
     """
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size!r}")
-    executor, reason = plan_backend(
-        backend, n_jobs=n_jobs, solver_specs=solver_specs, machine=machine, arrivals=arrivals
-    )
-    obs.REGISTRY.inc("sweep_backend_total", backend=executor.name, reason=reason)
     shard_spec = _resolve_shard(shard)
     progress = guard_progress(on_progress)
     if shard_spec is None or job_total is None:
@@ -641,6 +637,15 @@ def _run_sweep(
     else:
         index, count = shard_spec
         local_total = (job_total - index + count - 1) // count
+    executor, reason = plan_backend(
+        backend,
+        n_jobs=n_jobs,
+        job_total=local_total,
+        solver_specs=solver_specs,
+        machine=machine,
+        arrivals=arrivals,
+    )
+    obs.REGISTRY.inc("sweep_backend_total", backend=executor.name, reason=reason)
     if executor.name == "serial":
         workers = 1
     else:

@@ -51,6 +51,13 @@ class ContractionDiagram:
     contracted: str
     weight: float = 1.0
 
+    def __post_init__(self) -> None:
+        for spaces in (self.left, self.right, self.contracted):
+            if set(spaces) - {"o", "v"}:
+                raise ValueError(
+                    f"diagram {self.name!r}: index spaces are 'o' or 'v', got {spaces!r}"
+                )
+
 
 #: The diagram mix of a CCSD doubles update, coarse-grained to the terms that
 #: dominate data movement: particle-particle ladder, hole-hole ladder, ring
@@ -127,6 +134,13 @@ class CCSDSimulator(KernelSimulator):
             spread=0.5,
         )
         rest_sizes = list(rest.sizes)
+        if sum(rest_sizes) > dominant * len(rest_sizes):
+            # The clamp below only ends when the other blocks can all stay at
+            # or under the dominant one.
+            raise ValueError(
+                f"{virtual_tiles} virtual tiles cannot split {self.n_virtual} orbitals "
+                f"without a tile larger than the dominant {dominant}"
+            )
         while max(rest_sizes) > dominant:
             largest = rest_sizes.index(max(rest_sizes))
             smallest = rest_sizes.index(min(rest_sizes))
@@ -134,6 +148,9 @@ class CCSDSimulator(KernelSimulator):
             rest_sizes[largest] -= excess
             rest_sizes[smallest] += excess
         self.virt_tiling: Tiling = Tiling((dominant, *rest_sizes))
+        # Tile sizes and counts per index space, read once per drawn block.
+        self._tile_sizes = {"o": self.occ_tiling.sizes, "v": self.virt_tiling.sizes}
+        self._tile_counts = {space: len(sizes) for space, sizes in self._tile_sizes.items()}
 
         def tensor(name: str, spaces: str) -> DistributedTensor:
             tilings = tuple(self.occ_tiling if s == "o" else self.virt_tiling for s in spaces)
@@ -151,27 +168,26 @@ class CCSDSimulator(KernelSimulator):
         }
 
     # ------------------------------------------------------------------ #
-    def _tiling_for(self, space: str) -> Tiling:
-        return self.occ_tiling if space == "o" else self.virt_tiling
-
     def _random_block(self, spaces: str, rng: np.random.Generator) -> tuple[int, ...]:
-        return tuple(int(rng.integers(self._tiling_for(s).tile_count)) for s in spaces)
+        # One scalar draw per index, in index order: the trace's RNG stream.
+        counts = self._tile_counts
+        return tuple([int(rng.integers(counts[space])) for space in spaces])
 
     def _block_extent(self, spaces: str, block: Sequence[int]) -> int:
+        sizes = self._tile_sizes
         extent = 1
         for space, index in zip(spaces, block):
-            extent *= self._tiling_for(space)[index]
+            extent *= sizes[space][index]
         return extent
 
     def diagram_task_count(self, diagram: ContractionDiagram) -> int:
         """Number of block tasks one iteration of ``diagram`` contributes."""
-        output_spaces = "vvoo"
         output_blocks = 1
-        for space in output_spaces:
-            output_blocks *= self._tiling_for(space).tile_count
+        for space in "vvoo":
+            output_blocks *= self._tile_counts[space]
         contracted_blocks = 1
         for space in diagram.contracted:
-            contracted_blocks *= self._tiling_for(space).tile_count
+            contracted_blocks *= self._tile_counts[space]
         return max(1, int(output_blocks * contracted_blocks * diagram.weight))
 
     def task_count_per_iteration(self) -> int:

@@ -47,6 +47,12 @@ class DistributedTensor:
     tilings: tuple[Tiling, ...]
     processes: int
     element_bytes: int = DOUBLE_BYTES
+    #: ``(bytes, owner)`` of each block already requested, filled lazily by
+    #: :meth:`request`; bounded by the block grid.  Only validated blocks
+    #: enter it, so bad blocks raise on every call.
+    _geometry: dict[tuple[int, ...], tuple[float, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.tilings:
@@ -103,12 +109,21 @@ class DistributedTensor:
 
     def request(self, block: Sequence[int], *, from_rank: int) -> BlockRequest:
         """Describe the GA get of ``block`` issued by ``from_rank``."""
-        return BlockRequest(
-            tensor=self.name,
-            block=tuple(block),
-            bytes=self.block_bytes(block),
-            local=self.owner(block) == from_rank,
-        )
+        key = tuple(block)
+        geometry = self._geometry.get(key)
+        if geometry is None:
+            geometry = self._geometry[key] = (self.block_bytes(key), self.owner(key))
+        size, owner = geometry
+        return BlockRequest(tensor=self.name, block=key, bytes=size, local=owner == from_rank)
+
+    def __getstate__(self) -> dict:
+        # The geometry memo is a cache: pickles carry the tensor's fields only.
+        state = dict(self.__dict__)
+        del state["_geometry"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _geometry={})
 
     # ------------------------------------------------------------------ #
     def _check_block(self, block: Sequence[int]) -> None:

@@ -106,20 +106,24 @@ class HartreeFockSimulator(KernelSimulator):
             processes=processes,
             element_bytes=DOUBLE_BYTES,
         )
+        # Block geometry is fixed by the tiling: the (i <= j) pair list and
+        # each pair's element count are computed once, not once per quartet.
+        count = self.ao_tiling.tile_count
+        self._pairs = tuple((i, j) for i in range(count) for j in range(i, count))
+        tiles = self.ao_tiling.sizes
+        self._pair_elements = tuple(tiles[i] * tiles[j] for i, j in self._pairs)
 
     # ------------------------------------------------------------------ #
     def bra_ket_blocks(self) -> list[tuple[int, int]]:
         """Unique (i <= j) tile-pair blocks of the symmetric density matrix."""
-        count = self.ao_tiling.tile_count
-        return [(i, j) for i in range(count) for j in range(i, count)]
+        return list(self._pairs)
 
     def quartet_count_per_iteration(self) -> int:
-        pairs = len(self.bra_ket_blocks())
-        return pairs * pairs
+        return len(self._pairs) ** 2
 
     # ------------------------------------------------------------------ #
     def blueprints(self, rng: np.random.Generator) -> Iterator[TaskBlueprint]:
-        pairs = self.bra_ket_blocks()
+        pairs = self._pairs
         for iteration in range(self.scf_iterations):
             for bra_index, bra in enumerate(pairs):
                 for ket_index, ket in enumerate(pairs):
@@ -150,7 +154,7 @@ class HartreeFockSimulator(KernelSimulator):
         both blocks plus the Schwarz screening buffer; those are the largest
         tasks of the trace and define ``mc`` (about 176 KB with 100x100 tiles).
         """
-        rank = (bra_index * len(self.bra_ket_blocks()) + ket_index) % self.processes
+        rank = (bra_index * len(self._pairs) + ket_index) % self.processes
         coulomb = self.density.request(ket, from_rank=rank)
         needs_exchange_block = ket[1] == ket[0] or rng.random() < 0.08
         if needs_exchange_block:
@@ -160,10 +164,8 @@ class HartreeFockSimulator(KernelSimulator):
         else:
             requests = (coulomb,)
             overhead = self.overhead_bytes / 4
-        shape_bra = self.ao_tiling[bra[0]] * self.ao_tiling[bra[1]]
-        shape_ket = self.ao_tiling[ket[0]] * self.ao_tiling[ket[1]]
         survival = self.screening.sample(rng)
-        integrals = shape_bra * shape_ket * survival
+        integrals = self._pair_elements[bra_index] * self._pair_elements[ket_index] * survival
         return TaskBlueprint(
             name=f"hf_it{iteration}_fock_{bra_index}_{ket_index}",
             kind="fock_quartet",

@@ -73,6 +73,14 @@ def best_schedule_allowing_reordering(instance: Instance) -> tuple[Schedule, flo
     idle time), but it is enough to certify the Proposition 1 gap because the
     paper's improved schedule is itself an as-early-as-possible schedule for a
     pair of orders.
+
+    A pair is simulated only when its memory-free makespan could beat the
+    incumbent.  That makespan comes from the two-machine recurrence in the
+    kernel's own forms (``start = ready if ready > free else free``,
+    ``end = start + duration``); memory only delays events and these forms
+    are monotone in floating point, so it never exceeds the simulated
+    makespan, and a skipped pair could never have passed the incumbent test.
+    The search returns the same first-found schedule as the full one.
     """
     _guard(instance, limit=7)
     best: Schedule | None = None
@@ -80,7 +88,19 @@ def best_schedule_allowing_reordering(instance: Instance) -> tuple[Schedule, flo
     tasks = list(instance.tasks)
     for comm_perm in itertools.permutations(tasks):
         policy = FixedOrderPolicy(comm_perm)
+        link_free = 0.0
+        transfer_end: dict[str, float] = {}
+        for task in comm_perm:
+            link_free = link_free + task.comm
+            transfer_end[task.name] = link_free
         for comp_perm in itertools.permutations(tasks):
+            cpu_free = 0.0
+            for task in comp_perm:
+                ready = transfer_end[task.name]
+                cpu_free = (ready if ready > cpu_free else cpu_free) + task.comp
+            bound = cpu_free if cpu_free > link_free else link_free
+            if not bound < best_makespan - 1e-12:
+                continue
             try:
                 schedule = simulate(instance, policy, comp_order=comp_perm).schedule
             except DeadlockError:  # the pair of orders blocks under the capacity

@@ -110,6 +110,22 @@ class TestPlanBackend:
         assert backend.n_jobs == 4
         assert reason == "jobs cross a process boundary"
 
+    @pytest.mark.parametrize("job_total", [0, 1])
+    def test_at_most_one_job_plans_serial(self, job_total):
+        backend, reason = plan_backend(None, n_jobs=4, job_total=job_total)
+        assert isinstance(backend, SerialBackend)
+        assert reason == "one job"
+
+    def test_two_jobs_or_an_unknown_count_plan_processes(self):
+        for job_total in (2, None):
+            backend, _ = plan_backend(None, n_jobs=4, job_total=job_total)
+            assert isinstance(backend, ProcessBackend)
+
+    def test_explicit_backend_beats_one_job(self, monkeypatch):
+        assert plan_backend("processes", n_jobs=2, job_total=1)[1] == "requested"
+        monkeypatch.setenv("REPRO_BACKEND", "processes")
+        assert plan_backend(None, n_jobs=2, job_total=1)[1] == "REPRO_BACKEND"
+
     def test_unpicklable_solver_plans_serial_and_names_it(self):
         backend, reason = plan_backend(
             None, n_jobs=4, solver_specs=("OS", LargestCommunicationFirst())
@@ -167,6 +183,17 @@ class TestDefaultSweepBackend:
         before = self.counted("processes", "jobs cross a process boundary")
         assert small_study(ensemble).parallel(2).run().to_json() == reference
         assert self.counted("processes", "jobs cross a process boundary") == before + 1
+
+    def test_one_job_sweep_runs_serially(self, ensemble, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        one_trace = small_study(ensemble[0])
+        reference = one_trace.run().to_json()
+        before = self.counted("serial", "one job")
+        assert one_trace.parallel(2).run().to_json() == reference
+        # Sharding counts too: shard 2/3 of three traces holds one job.
+        shard_reference = small_study(ensemble).shard("2/3").run().to_json()
+        assert small_study(ensemble).shard("2/3").parallel(2).run().to_json() == shard_reference
+        assert self.counted("serial", "one job") == before + 2
 
     def test_unpicklable_solver_runs_serially_and_counts_why(self, ensemble, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)

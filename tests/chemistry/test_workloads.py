@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.chemistry import CCSD_SPEC, HF_SPEC, CCSDSimulator, HartreeFockSimulator
+from repro.chemistry import (
+    CCSD_SPEC,
+    HF_SPEC,
+    CCSDSimulator,
+    ContractionDiagram,
+    HartreeFockSimulator,
+)
 from repro.traces.stats import characterise_trace
 
 
@@ -90,10 +96,24 @@ class TestSimulatorInterfaces:
         with pytest.raises(ValueError):
             CCSDSimulator(contracted_blocks_per_task=0)
 
+    def test_too_few_virtual_tiles_raise_instead_of_hanging(self):
+        # 659 virtual orbitals cannot be split into the dominant 122-orbital
+        # block plus two blocks of at most 122 each.
+        with pytest.raises(ValueError, match="3 virtual tiles cannot split 659 orbitals"):
+            CCSDSimulator(processes=12, seed=31, virtual_tiles=3)
+
+    def test_diagram_index_spaces_are_occupied_or_virtual(self):
+        with pytest.raises(ValueError, match="index spaces are 'o' or 'v'"):
+            ContractionDiagram("bad", left="vvxv", right="vvoo", contracted="vv")
+
     def test_quartet_count_formula(self):
         simulator = HartreeFockSimulator(processes=10)
-        pairs = len(simulator.bra_ket_blocks())
-        assert simulator.quartet_count_per_iteration() == pairs * pairs
+        pairs = simulator.bra_ket_blocks()
+        assert simulator.quartet_count_per_iteration() == len(pairs) ** 2
+        assert len(set(pairs)) == len(pairs) and all(i <= j for i, j in pairs)
+        # Callers get their own list; the simulator's pair list is unchanged.
+        pairs.clear()
+        assert len(simulator.bra_ket_blocks()) ** 2 == simulator.quartet_count_per_iteration()
 
     def test_blueprint_volume_accounting(self, hf_small_ensemble):
         trace = hf_small_ensemble[0]

@@ -57,8 +57,7 @@ def table2_instance() -> Instance:
 def proposition1_free_optimum():
     """``best_schedule_allowing_reordering(proposition1_instance())``, once.
 
-    The exhaustive two-order search takes about 20 s, and its
-    ``(schedule, makespan)`` result is read by the Proposition 1 tests of
+    Its ``(schedule, makespan)`` result is read by the Proposition 1 tests of
     several modules.
     """
     return best_schedule_allowing_reordering(proposition1_instance())
