@@ -182,8 +182,9 @@ class CCSDSimulator(KernelSimulator):
 
     def diagram_task_count(self, diagram: ContractionDiagram) -> int:
         """Number of block tasks one iteration of ``diagram`` contributes."""
+        output_spaces = "vvoo"
         output_blocks = 1
-        for space in "vvoo":
+        for space in output_spaces:
             output_blocks *= self._tile_counts[space]
         contracted_blocks = 1
         for space in diagram.contracted:
