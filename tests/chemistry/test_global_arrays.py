@@ -88,14 +88,6 @@ class TestBadBlocks:
             with pytest.raises(error, match=message):
                 accessor(list(block))
 
-    def test_a_rejected_block_is_still_rejected_the_second_time(self, tensor):
-        for _ in range(2):
-            with pytest.raises(IndexError):
-                tensor.request((2, 0), from_rank=0)
-        self.warm(tensor)
-        with pytest.raises(IndexError):
-            tensor.request((2, 0), from_rank=0)
-
     def test_requests_are_fresh_and_agree_with_the_accessors(self, tensor):
         self.warm(tensor)
         for block in tensor.blocks():

@@ -72,7 +72,7 @@ def test_proposition1_instance_matches_the_full_search(proposition1_free_optimum
     assert_same_result(proposition1_free_optimum, unpruned_search(proposition1_instance()))
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(6))  # each durations x (memory, capacity) mix
 def test_random_five_task_instances_match_the_full_search(seed):
     instance = random_instance(seed, tasks=5)
     assert_same_result(best_schedule_allowing_reordering(instance), unpruned_search(instance))
