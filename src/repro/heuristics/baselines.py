@@ -88,24 +88,48 @@ def first_fit_bins(tasks: Sequence[Task], capacity: float) -> list[list[Task]]:
     Tasks are considered in the given (submission) order; each is placed in the
     first bin whose residual capacity accommodates its memory, a new bin being
     opened when none does.  With an infinite capacity a single bin is returned.
+
+    The first fitting bin is found in O(log n) on a max-residual segment tree
+    over n bin slots (First-Fit never opens more bins than it has tasks).  A
+    slot not yet opened holds the full capacity, so the leftmost slot that
+    passes the fit test is the first open bin that fits or, failing that, the
+    next new one.  Floating-point addition is monotone, so a subtree holds a
+    bin that passes ``memory <= space + 1e-12`` exactly when its maximum
+    residual passes it: the descent picks the bin a linear scan would.
     """
     if not math.isfinite(capacity):
         return [list(tasks)] if tasks else []
+    size = 1
+    while size < len(tasks):
+        size <<= 1
+    # Heap layout: node v has children 2v and 2v+1, leaf i sits at size + i.
+    tree = [capacity] * (2 * size)
     bins: list[list[Task]] = []
-    residual: list[float] = []
     for task in tasks:
-        if task.memory > capacity + 1e-12:
+        memory = task.memory
+        if memory > capacity + 1e-12:
             raise ValueError(
-                f"task {task.name!r} needs {task.memory:g} memory but bins have capacity {capacity:g}"
+                f"task {task.name!r} needs {memory:g} memory but bins have capacity {capacity:g}"
             )
-        for index, space in enumerate(residual):
-            if task.memory <= space + 1e-12:
-                bins[index].append(task)
-                residual[index] = space - task.memory
-                break
+        node = 1
+        while node < size:
+            node <<= 1
+            if not memory <= tree[node] + 1e-12:
+                node += 1
+        index = node - size
+        if index < len(bins):
+            bins[index].append(task)
         else:
             bins.append([task])
-            residual.append(capacity - task.memory)
+        tree[node] -= memory
+        node >>= 1
+        while node:
+            left, right = tree[2 * node], tree[2 * node + 1]
+            best = left if left >= right else right
+            if tree[node] == best:
+                break
+            tree[node] = best
+            node >>= 1
     return bins
 
 
