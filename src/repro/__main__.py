@@ -186,12 +186,11 @@ def _sweep_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINE_CHOICES,
         default=None,
-        help="execution engine: 'auto' picks the columnar fast path for large "
-        "instances (and the cross-instance batched plane for wide sweeps), "
-        "'columnar' requests the per-instance fast path explicitly, "
+        help="execution engine: 'auto' picks the columnar fast path wherever "
+        "it applies, 'columnar' requests the per-instance fast path explicitly, "
         "'batched' stacks homogeneous fixed-order sweep lanes into one "
         "numpy step loop (both fall back when unsupported), 'object' "
-        "forces the event kernel (default: the legacy recording path)",
+        "forces the event kernel (default: auto)",
     )
     execution.add_argument(
         "--backend",

@@ -253,22 +253,19 @@ def _batched_precomputed(
     fixed-order kernel run into one :class:`~repro.simulator.batched.
     BatchedPlane` and simulates all lanes per step; returns one
     ``{solver index: outcome}`` dict per instance (``None`` when batching
-    does not engage).  ``instances`` share their tasks (one trace at
-    several capacities, or a single instance), so :func:`~repro.simulator.
-    columnar.plan_engine` decides for the whole group: once for a plain
-    fixed-order probe at the grid's width, before any solver computes its
-    order, and once more at the number of lanes actually collected.  The
-    plane engages exactly where the per-instance dispatch would have
-    picked a fast engine lane by lane, so the records are bit-identical
-    to the per-instance sweep.
+    does not engage).  The plane only runs on a ``"batched"`` request.
+    ``instances`` share their tasks (one trace at several capacities, or a
+    single instance), so :func:`~repro.simulator.columnar.plan_engine`
+    decides for the whole group on a plain fixed-order probe, before any
+    solver computes its order.  The records are bit-identical to the
+    per-instance sweep.
     """
     if batch_size is not None or not instances or not solvers:
         return None
+    if _normalise_engine(engine) != "batched":
+        return None
     probe = instances[0]
-    width = len(instances) * len(solvers)
-    ran, _ = plan_engine(
-        probe, FixedOrderPolicy(probe.tasks), engine=engine, machine=machine, lanes=width
-    )
+    ran, _ = plan_engine(probe, FixedOrderPolicy(probe.tasks), engine=engine, machine=machine)
     if ran != "batched":
         return None
     lanes: list[tuple[int, int]] = []
@@ -279,9 +276,7 @@ def _batched_precomputed(
             if policy is not None:
                 lanes.append((fi, si))
                 runs.append((instance, policy))
-    if not runs or plan_engine(
-        *runs[0], engine=engine, machine=machine, lanes=len(runs)
-    )[0] != "batched":
+    if not runs:
         return None
     started = obs.now() if obs.is_enabled() else 0.0
     outcomes = simulate_batched_outcomes(runs, machine=machine)

@@ -327,7 +327,6 @@ def attach_payload(handle: ShmHandle):
 def _seed_view(instance: Instance, memory, comm, comp, release, names, lists) -> None:
     """Pre-seed ``instance``'s columnar view with shared-buffer columns."""
     view = ColumnarInstance.__new__(ColumnarInstance)
-    view.instance = instance
     view.tasks = instance.tasks
     view.names = names
     view.comm = comm

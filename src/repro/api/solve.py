@@ -125,8 +125,8 @@ def solve(
         (kernel-backed solvers only).
     engine:
         Execution engine: ``"auto"`` (default) picks the columnar
-        array-native fast path for large instances when the configuration
-        supports it, ``"columnar"`` requests it explicitly (still falling
+        array-native fast path whenever the configuration supports it,
+        ``"columnar"`` requests it explicitly (still falling
         back to the object kernel when unsupported — e.g. event recording
         or multi-CPU machines), ``"batched"`` runs the cross-instance
         batch kernel (a single solve is a one-lane plane, float-identical

@@ -210,13 +210,12 @@ class Study:
     def engine(self, engine: str) -> "Study":
         """Select the execution engine for every kernel run of the sweep.
 
-        ``"auto"`` picks an array-native fast path for large instances when
-        the configuration supports it — including the cross-instance
-        *batched* plane once a sweep has enough homogeneous fixed-order
-        lanes; ``"columnar"`` requests the per-instance fast path
-        explicitly (still falling back to the object kernel when
-        unsupported); ``"batched"`` requests the cross-instance plane
-        (lanes that cannot batch fall back per instance); ``"object"``
+        ``"auto"`` runs every row the columnar fast path supports on it,
+        whatever the instance size, and the rest on the object kernel;
+        ``"columnar"`` requests the per-instance fast path explicitly
+        (still falling back to the object kernel when unsupported);
+        ``"batched"`` requests the cross-instance plane (lanes that cannot
+        batch fall back per instance); ``"object"``
         forces the event kernel.  The engine each run actually used is
         recorded in the ``engine`` result column.  Never calling this is
         the same as ``"auto"``.

@@ -47,10 +47,7 @@ class CorrectedHeuristic(Heuristic):
         if memo is not None and memo[0] is instance.tasks:
             order = memo[1]
         else:
-            ordered = columnar_johnson_order(instance)
-            if ordered is None:
-                ordered = johnson_order(instance.tasks)
-            order = tuple(task.name for task in ordered)
+            order = tuple(task.name for task in columnar_johnson_order(instance))
             self._order_memo = (instance.tasks, order)
         return CorrectedOrderPolicy(order=order, criterion=type(self).criterion, name=self.name)
 

@@ -19,12 +19,11 @@ evaluation section.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..core.instance import Instance
 from ..core.schedule import Schedule
 from ..core.task import Task
-from ..flowshop.johnson import johnson_order
 from ..simulator.columnar import columnar_johnson_order, columnar_key_order
 from ..simulator.engine import resolve_order
 from ..simulator.online import OnlinePlanPolicy, WindowedPlanPolicy
@@ -112,26 +111,20 @@ class OrderOfSubmission(StaticOrderHeuristic):
 
 
 class _KeySortedHeuristic(StaticOrderHeuristic):
-    """Static order obtained by sorting tasks with a key function."""
+    """Static order obtained by sorting tasks on one packed column.
 
-    #: Key function; ties are always broken by task name for determinism.
-    key: Callable[[Task], float] = staticmethod(lambda task: 0.0)
+    The order is ``sorted(tasks, key=lambda t: (key(t), t.name))`` (``-key``
+    when ``reverse``), computed by the columnar argsort, which is
+    differential-tested to produce the identical permutation.
+    """
+
+    #: Column name of the key: ``"comm"``, ``"comp"`` or ``"total"``.
+    columnar_key: str = ""
     reverse: bool = False
-    #: Column name of the key (``"comm"``/``"comp"``/``"total"``): lets
-    #: large instances sort via the columnar argsort fast path, which is
-    #: differential-tested to produce the identical permutation.
-    columnar_key: str | None = None
     order_ignores_capacity = True
 
     def order(self, instance: Instance) -> Sequence[Task]:
-        if self.columnar_key is not None:
-            fast = columnar_key_order(instance, key=self.columnar_key, reverse=self.reverse)
-            if fast is not None:
-                return fast
-        key = type(self).key
-        if self.reverse:
-            return sorted(instance.tasks, key=lambda t: (-key(t), t.name))
-        return sorted(instance.tasks, key=lambda t: (key(t), t.name))
+        return columnar_key_order(instance, key=self.columnar_key, reverse=self.reverse)
 
 
 class OptimalOrderInfiniteMemory(StaticOrderHeuristic):
@@ -143,10 +136,7 @@ class OptimalOrderInfiniteMemory(StaticOrderHeuristic):
     order_ignores_capacity = True
 
     def order(self, instance: Instance) -> Sequence[Task]:
-        fast = columnar_johnson_order(instance)
-        if fast is not None:
-            return fast
-        return johnson_order(instance.tasks)
+        return columnar_johnson_order(instance)
 
     @classmethod
     def favors(cls, features) -> bool:
@@ -161,7 +151,6 @@ class IncreasingCommunication(_KeySortedHeuristic):
     favorable_situation = (
         "Memory capacity is not a restriction and tasks are compute intensive (optimal)."
     )
-    key = staticmethod(lambda task: task.comm)
     columnar_key = "comm"
 
     @classmethod
@@ -177,7 +166,6 @@ class DecreasingComputation(_KeySortedHeuristic):
     favorable_situation = (
         "Memory capacity is not a restriction and tasks are communication intensive (optimal)."
     )
-    key = staticmethod(lambda task: task.comp)
     reverse = True
     columnar_key = "comp"
 
@@ -192,7 +180,6 @@ class IncreasingCommPlusComp(_KeySortedHeuristic):
     name = "IOCCS"
     description = "Tasks sorted by non-decreasing communication + computation time."
     favorable_situation = "Moderate memory capacity and most tasks are highly compute intensive."
-    key = staticmethod(lambda task: task.total_time)
     columnar_key = "total"
 
     @classmethod
@@ -208,7 +195,6 @@ class DecreasingCommPlusComp(_KeySortedHeuristic):
     favorable_situation = (
         "Moderate memory capacity and most tasks are highly communication intensive."
     )
-    key = staticmethod(lambda task: task.total_time)
     reverse = True
     columnar_key = "total"
 

@@ -32,8 +32,6 @@ from .arrivals import (
 from .batch import DEFAULT_BATCH_SIZE, simulate_in_batches
 from .batched import BatchedPlane, simulate_batched, simulate_batched_outcomes
 from .columnar import (
-    BATCH_AUTO_THRESHOLD,
-    COLUMNAR_AUTO_THRESHOLD,
     ColumnarInstance,
     ColumnarSchedule,
     columnar_johnson_order,
@@ -79,8 +77,6 @@ from .resources import (
 )
 
 __all__ = [
-    "BATCH_AUTO_THRESHOLD",
-    "COLUMNAR_AUTO_THRESHOLD",
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_MACHINE",
     "ArrivalProcess",

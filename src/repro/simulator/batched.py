@@ -41,7 +41,9 @@ dates, a :class:`~repro.simulator.policies.FixedOrderPolicy` (optionally
 with the Proposition 1 ``comp_order`` second order), no event recording.
 :func:`~repro.simulator.columnar.plan_engine` reports why a run cannot join
 a batch; the sweep engine (:mod:`repro.api.engine`) groups eligible lanes
-and falls back per-instance for everything else.
+and falls back per-instance for everything else.  The plane runs only on
+request (``engine="batched"`` or ``REPRO_ENGINE=batched``): ``"auto"``
+plans the columnar kernel instead.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from ..core.validation import TOLERANCE
 from ..obs import spans as _obs
 from ..obs.stats import KernelStats
 from .columnar import (
-    BATCH_AUTO_THRESHOLD,
     _columnar_schedule,
     _fixed_order_indices,
     columnar_view,
@@ -71,7 +72,6 @@ __all__ = [
     "BatchRun",
     "simulate_batched",
     "simulate_batched_outcomes",
-    "BATCH_AUTO_THRESHOLD",
 ]
 
 #: One run to batch: ``(instance, policy)`` or ``(instance, policy, comp_order)``.

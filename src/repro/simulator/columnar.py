@@ -58,10 +58,9 @@ paper's three criteria.  Everything else — event recording, release-dated
 criteria — falls back to the object kernel.  :func:`plan_engine` makes
 every engine decision (``"auto"`` | ``"object"`` | ``"columnar"`` |
 ``"batched"``, with ``"auto"`` overridable by the ``REPRO_ENGINE``
-environment variable) and reports why: ``"auto"`` takes the fast path when
-it is supported and the instance has at least
-:data:`COLUMNAR_AUTO_THRESHOLD` tasks, and the cross-instance batched plane
-once a sweep also has :data:`BATCH_AUTO_THRESHOLD` fixed-order lanes.
+environment variable) and reports why: ``"auto"`` takes the fast path for
+every run it supports, whatever its size, and never the cross-instance
+batched plane, which runs only when requested.
 """
 
 from __future__ import annotations
@@ -102,8 +101,6 @@ __all__ = [
     "columnar_johnson_order",
     "ENGINE_CHOICES",
     "ENGINE_ENV_VAR",
-    "COLUMNAR_AUTO_THRESHOLD",
-    "BATCH_AUTO_THRESHOLD",
 ]
 
 #: Recognised values of the ``engine=`` option across the facade.
@@ -112,19 +109,9 @@ __all__ = [
 #: one-lane plane.
 ENGINE_CHOICES: tuple[str, ...] = ("auto", "object", "columnar", "batched")
 
-#: Environment override for ``engine="auto"`` (CI forces ``columnar`` here
-#: to run the whole differential suite through the fast path).
+#: Environment override for ``engine="auto"`` (CI forces ``object`` and
+#: ``batched`` here to run the differential suite through those engines).
 ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-#: ``engine="auto"`` takes the columnar path at or above this task count.
-#: Below it the object kernel's lower fixed overhead wins (the crossover
-#: measured by ``benchmarks/bench_engine_scaling.py`` is well under this).
-COLUMNAR_AUTO_THRESHOLD = 256
-
-#: ``engine="auto"`` batches a homogeneous sweep group at or above this many
-#: lanes (combined with the columnar task-count threshold); below it the
-#: per-lane numpy dispatch overhead beats the saved Python iterations.
-BATCH_AUTO_THRESHOLD = 16
 
 #: Attribute under which the packed view is cached on the instance.
 _VIEW_ATTR = "_columnar_view"
@@ -171,7 +158,6 @@ class ColumnarInstance:
     """
 
     __slots__ = (
-        "instance",
         "tasks",
         "names",
         "comm",
@@ -191,7 +177,6 @@ class ColumnarInstance:
 
     def __init__(self, instance: Instance) -> None:
         tasks = instance.tasks
-        self.instance = instance
         self.tasks = tasks
         self.names = [t.name for t in tasks]
         self.comm = np.array([t.comm for t in tasks], dtype=np.float64)
@@ -357,9 +342,8 @@ class CriterionRank(NamedTuple):
 def columnar_view(instance: Instance, *, build: bool = True) -> ColumnarInstance | None:
     """The cached :class:`ColumnarInstance` of ``instance``.
 
-    ``build=False`` only returns an already-cached view — the heuristics use
-    it to vectorize order computation exactly when an engine run has already
-    paid for the packing (or will).
+    Packs the view on first use.  ``build=False`` only returns an
+    already-cached view (``None`` when nothing has packed one yet).
     """
     view = getattr(instance, _VIEW_ATTR, None)
     if view is not None or not build:
@@ -515,40 +499,32 @@ def _columnar_schedule(
 _ORDER_KEYS = ("comm", "comp", "total")
 
 
-def columnar_key_order(
-    instance: Instance, *, key: str, reverse: bool = False
-) -> list[Task] | None:
+def columnar_key_order(instance: Instance, *, key: str, reverse: bool = False) -> list[Task]:
     """Tasks sorted by ``(key, name)`` — or ``(-key, name)`` — via argsort.
 
     Produces the *identical* permutation to
     ``sorted(tasks, key=lambda t: (key(t), t.name))``: the float keys are
     compared exactly, and ties fall through to the name rank, which is the
-    lexicographic name order.  Returns ``None`` (caller keeps the ``sorted``
-    path) when no view is cached and the instance is below the columnar
-    threshold — packing columns to sort 20 tasks would be a net loss.
+    lexicographic name order.  Packs the view when none is cached; the
+    columnar kernel then runs on that same view.
     """
     if key not in _ORDER_KEYS:
         raise ValueError(f"unknown order key {key!r}; choose from {list(_ORDER_KEYS)}")
-    view = columnar_view(instance, build=len(instance) >= COLUMNAR_AUTO_THRESHOLD)
-    if view is None:
-        return None
+    view = columnar_view(instance)
     values = getattr(view, key)
     order = np.lexsort((view.name_rank, -values if reverse else values))
     tasks = view.tasks
     return [tasks[i] for i in order]
 
 
-def columnar_johnson_order(instance: Instance) -> list[Task] | None:
+def columnar_johnson_order(instance: Instance) -> list[Task]:
     """Johnson's rule via masked argsorts, identical to ``johnson_order``.
 
     Compute-intensive tasks (``comp >= comm``) by ``(comm, name)``, then the
     rest by ``(-comp, name)`` — the same keys, compared exactly, with the
-    same name tie-break.  Returns ``None`` below the columnar threshold when
-    no view is cached.
+    same name tie-break.  Packs the view when none is cached.
     """
-    view = columnar_view(instance, build=len(instance) >= COLUMNAR_AUTO_THRESHOLD)
-    if view is None:
-        return None
+    view = columnar_view(instance)
     compute_intensive = np.flatnonzero(view.comp >= view.comm)
     communication_intensive = np.flatnonzero(view.comp < view.comm)
     rank = view.name_rank
@@ -620,31 +596,29 @@ def plan_engine(
     machine: MachineModel | None = None,
     comp_order: Sequence[Task] | Sequence[str] | None = None,
     record: bool = False,
-    lanes: int = 1,
 ) -> tuple[str, str]:
     """The engine that runs ``policy`` on ``instance``, and why.
 
     Every engine decision is made here: :func:`~repro.simulator.engine.
     simulate` dispatches on the returned name, :func:`simulate_columnar`
     and :meth:`~repro.simulator.batched.BatchedPlane.pack` refuse any run
-    it does not plan onto their engine, and the sweep's lane grouping
-    passes its ``lanes`` count to learn whether a group rides the batched
-    plane.  Returns ``(engine, reason)`` with ``engine`` one of
-    ``"object"``, ``"columnar"`` or ``"batched"``.
+    it does not plan onto their engine, and the sweep asks it whether a
+    ``"batched"`` request lets a lane group ride the batched plane.
+    Returns ``(engine, reason)`` with ``engine`` one of ``"object"``,
+    ``"columnar"`` or ``"batched"``.
 
     The fast paths never guess: any feature they cannot replay bit-for-bit
-    — event recording, release-dated instances, multi-CPU machines,
-    policies or criteria outside the paper's triple — plans the object
-    kernel, and only single-link fixed-order runs batch.  The request and
-    the auto task-count threshold are checked before anything builds a
-    columnar view, so small ``auto`` runs stay as cheap as the object
-    kernel itself.
+    — event recording, release-dated instances, multi-CPU machines, a
+    ``comp_order`` without a fixed order, policies or criteria outside the
+    paper's triple — plans the object kernel.  Every other run plans the
+    columnar kernel under ``"auto"``, whatever its size: the view packed
+    here is the one the kernel (and the heuristics' orders) run on.  Only
+    a ``"batched"`` request plans the batched plane, and only for
+    single-link fixed-order runs.
     """
     choice = _normalise_engine(engine)
     if choice == "object":
         return "object", "object engine requested"
-    if choice == "auto" and len(instance) < COLUMNAR_AUTO_THRESHOLD:
-        return "object", "auto: fewer tasks than COLUMNAR_AUTO_THRESHOLD"
     if record:
         return "object", "event recording is only implemented by the object kernel"
     machine = DEFAULT_MACHINE if machine is None else machine
@@ -662,17 +636,15 @@ def plan_engine(
     if kind is not FixedOrderPolicy and _criterion_keys(view, policy.criterion) is None:
         name = getattr(policy.criterion, "__name__", policy.criterion)
         return "object", f"criterion {name!r} has no packed key"
+    if choice == "auto":
+        return "columnar", "auto: the columnar kernel replays this run"
     if choice == "columnar":
         return "columnar", "columnar engine requested"
-    if choice == "auto" and lanes < BATCH_AUTO_THRESHOLD:
-        return "columnar", "auto: fewer lanes than BATCH_AUTO_THRESHOLD"
     if machine.link_count != 1:
         return "columnar", "multi-link machines run per-instance on the columnar/object kernels"
     if kind is not FixedOrderPolicy:
         return "columnar", "only fixed-order policies batch across lanes"
-    if choice == "batched":
-        return "batched", "batched engine requested"
-    return "batched", "auto: at least BATCH_AUTO_THRESHOLD lanes"
+    return "batched", "batched engine requested"
 
 
 # --------------------------------------------------------------------------- #

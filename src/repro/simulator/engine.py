@@ -196,7 +196,7 @@ def simulate(
         ``"object"`` (this module's loop), ``"columnar"`` (the array-native
         fast path of :mod:`repro.simulator.columnar`), ``"batched"`` (a
         one-lane :class:`~repro.simulator.batched.BatchedPlane`), or
-        ``"auto"``/``None`` (columnar for large supported instances, object
+        ``"auto"``/``None`` (columnar for every supported run, object
         otherwise; the ``REPRO_ENGINE`` environment variable overrides
         auto).  :func:`~repro.simulator.columnar.plan_engine` decides, and
         falls back here when a fast path does not support the

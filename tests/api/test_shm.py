@@ -15,12 +15,14 @@ constant in the parent to force either wire form.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +126,24 @@ def test_instance_round_trips(clean_shm):
             columnar_view(rebuilt).memory, columnar_view(original).memory
         )
         del rebuilt
+        detach()
+
+
+def test_attached_instance_is_freed_without_the_cyclic_gc(clean_shm):
+    tasks = [Task(f"t{i}", comm=float(i + 1), comp=1.0) for i in range(16)]
+    original = Instance(tasks, capacity=64.0, name="shm/freed")
+    with ShmPlane() as plane:
+        rebuilt, detach = attach_payload(plane.publish(original))
+        assert columnar_view(rebuilt) is not None  # the pre-seeded view
+        ref = weakref.ref(rebuilt)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del rebuilt
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
         detach()
 
 

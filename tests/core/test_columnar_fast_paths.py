@@ -197,14 +197,15 @@ def test_rows_of_another_task_tuple_go_to_the_validator():
 
 
 # --------------------------------------------------------------------------- #
-# A default large sweep never materialises a row
+# A default sweep never materialises a row, small or large
 # --------------------------------------------------------------------------- #
-def test_feasible_auto_sweep_rows_never_materialise(monkeypatch):
+@pytest.mark.parametrize("tasks", [25, 300])
+def test_feasible_auto_sweep_rows_never_materialise(monkeypatch, tasks):
     monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-    trace = synthetic_trace("heterogeneous", tasks=300, seed=0)
+    trace = synthetic_trace("heterogeneous", tasks=tasks, seed=0)
     study = Study().traces(trace).capacities(1.0, 1.25)
     with count_materialisations() as materialised:
         results = study.run()
     assert len(results) == 2 * len(paper_lineup())
-    assert set(results.column("engine")) == {"columnar", "batched"}
+    assert set(results.column("engine")) == {"columnar"}
     assert not materialised

@@ -24,16 +24,32 @@ def instance():
     return instance.with_capacity(instance.min_capacity * 1.5)
 
 
-def small_study(backend, n_jobs=2):
+#: The span each engine records per kernel run: a default (auto) run
+#: replays on the columnar kernel, a forced object run on the event loop.
+KERNEL_SPANS = {"auto": "columnar.scan", "object": "kernel.simulate"}
+
+
+def small_study(backend, n_jobs=2, engine="auto"):
     study = (
         Study()
         .traces(synthetic_stream("balanced", processes=4, tasks_per_process=(20, 40), seed=5))
         .capacities(1.25, 1.5)
         .solvers("LCMR", "MAMR")
+        .engine(engine)
     )
     if backend != "serial" or n_jobs != 1:
         study.parallel(n_jobs, backend=backend, chunk_size=2)
     return study
+
+
+def not_engine_span(engine):
+    """The kernel span of the other engine, which this run must not record."""
+    (other,) = set(KERNEL_SPANS.values()) - {KERNEL_SPANS[engine]}
+    return other
+
+
+def span_names(path):
+    return {e["name"] for e in json.loads(path.read_text())["traceEvents"]}
 
 
 class TestSolveTrace:
@@ -42,9 +58,17 @@ class TestSolveTrace:
         result = solve(instance, "LCMR", trace=str(path))
         assert result.makespan > 0
         info = validate_chrome_trace(str(path))
-        names = {e["name"] for e in json.loads(path.read_text())["traceEvents"]}
-        assert "kernel.simulate" in names
+        names = span_names(path)
+        assert {"columnar.pack", "columnar.scan"} <= names
+        assert "kernel.simulate" not in names
         assert info["spans"] >= 2
+        # Recording plans the object kernel, which records its own span.
+        recorded = tmp_path / "recorded.json"
+        solve(instance, "LCMR", record_events=True, trace=str(recorded))
+        validate_chrome_trace(str(recorded))
+        names = span_names(recorded)
+        assert "kernel.simulate" in names
+        assert "columnar.scan" not in names
 
     def test_solve_trace_restores_disabled_state(self, instance, tmp_path):
         assert not obs.is_enabled()
@@ -59,13 +83,15 @@ class TestSolveTrace:
 
 
 class TestStudyTrace:
-    def test_study_trace_writes_validated_file(self, tmp_path):
+    @pytest.mark.parametrize("engine", sorted(KERNEL_SPANS))
+    def test_study_trace_writes_validated_file(self, tmp_path, engine):
         path = tmp_path / "study.json"
-        results = small_study("serial", n_jobs=1).trace(path).run()
+        results = small_study("serial", n_jobs=1, engine=engine).trace(path).run()
         assert len(results) == 4 * 2 * 2
         info = validate_chrome_trace(str(path))
-        names = {e["name"] for e in json.loads(path.read_text())["traceEvents"]}
-        assert {"study.run", "sweep.job", "kernel.simulate"} <= names
+        names = span_names(path)
+        assert {"study.run", "sweep.job", KERNEL_SPANS[engine]} <= names
+        assert not_engine_span(engine) not in names
         assert info["max_depth"] >= 3
 
     def test_trace_true_enables_without_writing(self):
@@ -90,26 +116,29 @@ class TestStudyTrace:
 
 
 class TestServePoolBackend:
-    def test_spans_from_worker_threads_are_collected(self, tmp_path):
+    @pytest.mark.parametrize("engine", sorted(KERNEL_SPANS))
+    def test_spans_from_worker_threads_are_collected(self, tmp_path, engine):
         path = tmp_path / "threads.json"
         pool = ServePool(2)
         try:
-            small_study(pool.backend()).trace(path).run()
+            small_study(pool.backend(), engine=engine).trace(path).run()
         finally:
             pool.shutdown()
         payload = json.loads(path.read_text())
         info = validate_chrome_trace(payload)
         names = {e["name"] for e in payload["traceEvents"]}
-        assert {"sweep.chunk", "sweep.job", "kernel.simulate"} <= names
+        assert {"sweep.chunk", "sweep.job", KERNEL_SPANS[engine]} <= names
+        assert not_engine_span(engine) not in names
         assert info["pids"] == 1
         assert info["tracks"] >= 2  # main thread plus at least one worker
 
 
 class TestProcessBackendWire:
-    def test_worker_spans_and_metrics_cross_the_wire(self, tmp_path):
+    @pytest.mark.parametrize("engine", sorted(KERNEL_SPANS))
+    def test_worker_spans_and_metrics_cross_the_wire(self, tmp_path, engine):
         path = tmp_path / "processes.json"
         before = obs.REGISTRY.counter_total("sweep_jobs_merged_total")
-        results = small_study("processes").trace(path).run()
+        results = small_study("processes", engine=engine).trace(path).run()
         assert len(results) == 4 * 2 * 2
 
         payload = json.loads(path.read_text())
@@ -117,15 +146,15 @@ class TestProcessBackendWire:
         # Spans arrived from at least one worker pid besides the parent.
         assert info["pids"] >= 2
         names = {e["name"] for e in payload["traceEvents"]}
-        assert {"study.run", "sweep.chunk", "sweep.chunk.run", "sweep.job", "kernel.simulate"} <= names
+        kernel_span = KERNEL_SPANS[engine]
+        assert {"study.run", "sweep.chunk", "sweep.chunk.run", "sweep.job", kernel_span} <= names
+        assert not_engine_span(engine) not in names
 
         # Worker-side kernel spans carry their own pids.
         parent_pid = next(
             e["pid"] for e in payload["traceEvents"] if e["name"] == "study.run"
         )
-        kernel_pids = {
-            e["pid"] for e in payload["traceEvents"] if e["name"] == "kernel.simulate"
-        }
+        kernel_pids = {e["pid"] for e in payload["traceEvents"] if e["name"] == kernel_span}
         assert kernel_pids and parent_pid not in kernel_pids
 
         # Metrics shipped back and merged into the parent registry.

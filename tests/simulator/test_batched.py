@@ -21,7 +21,6 @@ import pytest
 
 from repro.core import Instance, Task
 from repro.simulator import (
-    BATCH_AUTO_THRESHOLD,
     DeadlockError,
     FixedOrderPolicy,
     InfeasibleOrderError,
@@ -228,7 +227,8 @@ def test_forced_batched_sweep_matches_object_end_to_end(monkeypatch):
     assert forced.column("memory_wait_s") == baseline.column("memory_wait_s")
 
 
-def test_auto_engine_engages_the_plane_above_both_thresholds(monkeypatch):
+def test_auto_engine_never_engages_the_plane(monkeypatch):
+    from repro import obs
     from repro.api import Study
     from repro.traces.generator import synthetic_trace
 
@@ -236,9 +236,20 @@ def test_auto_engine_engages_the_plane_above_both_thresholds(monkeypatch):
     trace = synthetic_trace("balanced", tasks=300, seed=3)
     solvers = ("OS", "OOSIM", "IOCMS", "DOCPS")
     factors = (1.0, 1.25, 1.5, 2.0)
-    assert len(solvers) * len(factors) >= BATCH_AUTO_THRESHOLD
-    results = Study().traces(trace).capacities(*factors).solvers(*solvers).run()
-    assert set(results.column("engine")) == {"batched"}
+
+    def sweep():
+        return Study().traces(trace).capacities(*factors).solvers(*solvers).run()
+
+    before = obs.REGISTRY.value("sweep_batch_lanes_total")
+    results = sweep()  # 16 fixed-order lanes: a wide group still runs columnar
+    assert obs.REGISTRY.value("sweep_batch_lanes_total") == before
+    assert set(results.column("engine")) == {"columnar"}
+    monkeypatch.setenv("REPRO_ENGINE", "batched")
+    forced = sweep()
+    assert obs.REGISTRY.value("sweep_batch_lanes_total") - before == 16
+    assert set(forced.column("engine")) == {"batched"}
+    assert forced.column("makespan") == results.column("makespan")
+    assert forced.column("memory_wait_s") == results.column("memory_wait_s")
 
 
 def test_batched_sweep_records_spans_and_lane_counter(monkeypatch):

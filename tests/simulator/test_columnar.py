@@ -5,15 +5,17 @@ The bit-for-bit schedule equivalence itself is property-tested in
 the scans — the packed :class:`ColumnarInstance` view and its caching, the
 lazily materialised :class:`ColumnarSchedule`, the vectorized heuristic
 orders, the engine plan (request normalisation, the ``REPRO_ENGINE``
-override, thresholds and the support matrix), facade dispatch (``solve``/``Study``/CLI/``SweepJob``) and
+override and the support matrix), facade dispatch (``solve``/``Study``/CLI/``SweepJob``) and
 the ``engine`` result column.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import pickle
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +32,6 @@ from repro.heuristics.static import (
     OptimalOrderInfiniteMemory,
 )
 from repro.simulator import (
-    COLUMNAR_AUTO_THRESHOLD,
     ColumnarSchedule,
     CorrectedOrderPolicy,
     CriterionPolicy,
@@ -71,6 +72,27 @@ def make_instance(n: int, *, capacity: float = math.inf, seed: int = 0) -> Insta
 # The packed view
 # --------------------------------------------------------------------------- #
 class TestColumnarView:
+    def test_packed_instance_is_freed_without_the_cyclic_gc(self):
+        # The view must not point back at its instance: a cycle would leave
+        # every packed instance (and its view and selection trees) for the
+        # cyclic collector.
+        # memory = comm: co-monotone, so the run builds a selection tree too.
+        tasks = [Task(f"t{i}", float(i % 7 + 1), float(i % 5)) for i in range(40)]
+        instance = Instance(tasks, capacity=9.0)
+        result = simulate(instance, CriterionPolicy(largest_communication), engine="columnar")
+        assert result.engine == "columnar"
+        assert columnar_view(instance, build=False).criterion_rank(largest_communication)
+        IncreasingCommunication().order(instance)
+        ref = weakref.ref(instance)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del instance
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_columns_match_task_attributes(self):
         instance = make_instance(40)
         view = columnar_view(instance)
@@ -192,7 +214,7 @@ class TestVectorizedOrders:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_key_order_matches_sorted(self, key, attr, reverse):
         instance = self.tied_instance()
-        columnar_view(instance)  # force the fast path below the threshold
+        columnar_view(instance)
         fast = columnar_key_order(instance, key=key, reverse=reverse)
         sign = -1.0 if reverse else 1.0
         slow = sorted(instance.tasks, key=lambda t: (sign * getattr(t, attr), t.name))
@@ -204,18 +226,21 @@ class TestVectorizedOrders:
         fast = columnar_johnson_order(instance)
         assert [t.name for t in fast] == [t.name for t in johnson_order(instance.tasks)]
 
-    def test_small_instances_without_a_view_keep_the_sorted_path(self):
+    def test_small_instances_pack_the_view_for_their_order(self):
         instance = self.tied_instance(n=10)
-        assert columnar_key_order(instance, key="comm") is None
-        assert columnar_johnson_order(instance) is None
-        # the heuristic still answers, through sorted()
-        order = IncreasingCommunication().order(instance)
+        assert columnar_view(instance, build=False) is None
+        order = columnar_key_order(instance, key="comm")
+        view = columnar_view(instance, build=False)
+        assert view is not None  # packed once, kept for the kernel run
         assert [t.name for t in order] == [
             t.name for t in sorted(instance.tasks, key=lambda t: (t.comm, t.name))
         ]
+        johnson = columnar_johnson_order(instance)
+        assert columnar_view(instance, build=False) is view
+        assert [t.name for t in johnson] == [t.name for t in johnson_order(instance.tasks)]
 
     def test_large_instances_build_the_view_on_demand(self):
-        instance = make_instance(COLUMNAR_AUTO_THRESHOLD)
+        instance = make_instance(256)
         assert columnar_key_order(instance, key="total", reverse=True) is not None
         assert columnar_view(instance, build=False) is not None
 
@@ -224,31 +249,26 @@ class TestVectorizedOrders:
             columnar_key_order(make_instance(5), key="memory")
 
     @pytest.mark.parametrize(
-        "heuristic",
+        "heuristic,attr,sign",
         [
-            IncreasingCommunication(),
-            DecreasingComputation(),
-            IncreasingCommPlusComp(),
-            DecreasingCommPlusComp(),
+            (IncreasingCommunication(), "comm", 1.0),
+            (DecreasingComputation(), "comp", -1.0),
+            (IncreasingCommPlusComp(), "total_time", 1.0),
+            (DecreasingCommPlusComp(), "total_time", -1.0),
         ],
     )
-    def test_static_heuristics_agree_with_and_without_the_fast_path(self, heuristic):
-        with_view = self.tied_instance(seed=23)
-        without_view = Instance(with_view.tasks, capacity=with_view.capacity)
-        columnar_view(with_view)
-        assert [t.name for t in heuristic.order(with_view)] == [
-            t.name for t in heuristic.order(without_view)
-        ]
+    @pytest.mark.parametrize("n", [1, 10, 50])
+    def test_static_heuristics_match_the_sorted_order(self, heuristic, attr, sign, n):
+        instance = self.tied_instance(n=n, seed=23)
+        slow = sorted(instance.tasks, key=lambda t: (sign * getattr(t, attr), t.name))
+        assert [t.name for t in heuristic.order(instance)] == [t.name for t in slow]
 
-    def test_oosim_and_corrected_agree_with_and_without_the_fast_path(self):
-        with_view = self.tied_instance(seed=31)
-        without_view = Instance(with_view.tasks, capacity=with_view.capacity)
-        columnar_view(with_view)
-        assert [t.name for t in OptimalOrderInfiniteMemory().order(with_view)] == [
-            t.name for t in OptimalOrderInfiniteMemory().order(without_view)
-        ]
-        corrected = CorrectedMaximumAcceleration()
-        assert corrected.kernel_policy(with_view).order == corrected.kernel_policy(without_view).order
+    @pytest.mark.parametrize("n", [1, 10, 50])
+    def test_oosim_and_corrected_match_johnson_order(self, n):
+        instance = self.tied_instance(n=n, seed=31)
+        johnson = [t.name for t in johnson_order(instance.tasks)]
+        assert [t.name for t in OptimalOrderInfiniteMemory().order(instance)] == johnson
+        assert list(CorrectedMaximumAcceleration().kernel_policy(instance).order) == johnson
 
 
 # --------------------------------------------------------------------------- #
@@ -277,55 +297,73 @@ _MACHINES = {
     "2-cpu": MachineModel(cpu_count=2),
 }
 
-_BELOW_TASKS = "fewer tasks than COLUMNAR_AUTO_THRESHOLD"
-_BELOW_LANES = "fewer lanes than BATCH_AUTO_THRESHOLD"
+_AUTO = "auto: the columnar kernel replays this run"
 
-#: request, REPRO_ENGINE, n, lanes, record, machine, policy -> engine, reason.
+#: request, REPRO_ENGINE, n, record, machine, policy -> engine, reason.
 _PLAN_TABLE = [
-    # auto: the task-count threshold, then the lane threshold
-    (None, "", 255, 16, False, "paper", "fixed", "object", _BELOW_TASKS),
-    ("auto", "", 255, 16, True, "paper", "fixed", "object", _BELOW_TASKS),
-    ("auto", "", 256, 15, False, "paper", "fixed", "columnar", _BELOW_LANES),
-    (None, "", 256, 15, False, "paper", "criterion", "columnar", _BELOW_LANES),
-    ("auto", "", 256, 16, False, "paper", "fixed", "batched", "at least BATCH_AUTO_THRESHOLD"),
-    ("AUTO", "", 256, 16, False, "paper", "corrected", "columnar", "only fixed-order"),
-    (None, "", 256, 16, False, "2-link", "fixed", "columnar", "multi-link"),
-    ("auto", "", 256, 16, False, "2-cpu", "fixed", "object", "multi-CPU"),
-    ("auto", "", 256, 16, True, "paper", "fixed", "object", "recording"),
-    ("auto", "", 256, 15, False, "paper", "foreign", "object", "'_ForeignPolicy'"),
-    ("auto", "", 256, 15, False, "paper", "odd-criterion", "object", "no packed key"),
-    # explicit requests ignore the thresholds
-    ("object", "", 256, 16, False, "paper", "fixed", "object", "object engine requested"),
-    ("columnar", "", 255, 15, False, "paper", "fixed", "columnar", "columnar engine requested"),
-    ("columnar", "", 256, 16, False, "paper", "fixed", "columnar", "columnar engine requested"),
-    ("columnar", "", 255, 15, False, "2-link", "criterion", "columnar", "columnar engine requested"),
-    ("columnar", "", 255, 15, True, "paper", "fixed", "object", "recording"),
-    ("columnar", "", 255, 15, False, "2-cpu", "criterion", "object", "multi-CPU"),
-    ("columnar", "", 255, 15, False, "paper", "foreign", "object", "only implemented by the object kernel"),
-    ("columnar", "", 255, 15, False, "paper", "odd-criterion", "object", "no packed key"),
-    ("batched", "", 255, 1, False, "paper", "fixed", "batched", "batched engine requested"),
-    ("batched", "", 256, 16, False, "2-link", "fixed", "columnar", "multi-link"),
-    ("batched", "", 255, 15, False, "paper", "corrected", "columnar", "only fixed-order"),
-    ("batched", "", 255, 15, True, "paper", "fixed", "object", "recording"),
-    ("batched", "", 256, 16, False, "2-cpu", "fixed", "object", "multi-CPU"),
+    # auto: every run the columnar kernel replays, whatever its size; the
+    # object kernel for the rest; never the batched plane
+    (None, "", 1, False, "paper", "fixed", "columnar", _AUTO),
+    ("auto", "", 25, False, "paper", "fixed", "columnar", _AUTO),
+    ("auto", "", 100, False, "paper", "criterion", "columnar", _AUTO),
+    (None, "", 100, False, "paper", "corrected", "columnar", _AUTO),
+    (None, "", 255, False, "paper", "fixed", "columnar", _AUTO),
+    ("auto", "", 256, False, "paper", "fixed", "columnar", _AUTO),
+    (None, "", 256, False, "paper", "criterion", "columnar", _AUTO),
+    ("AUTO", "", 256, False, "paper", "corrected", "columnar", _AUTO),
+    (None, "", 25, False, "2-link", "fixed", "columnar", _AUTO),
+    (None, "", 256, False, "2-link", "fixed", "columnar", _AUTO),
+    ("auto", "", 1, False, "2-cpu", "fixed", "object", "multi-CPU"),
+    ("auto", "", 256, False, "2-cpu", "fixed", "object", "multi-CPU"),
+    ("auto", "", 1, True, "paper", "fixed", "object", "recording"),
+    ("auto", "", 25, True, "paper", "criterion", "object", "recording"),
+    ("auto", "", 256, True, "paper", "fixed", "object", "recording"),
+    ("auto", "", 25, False, "paper", "foreign", "object", "'_ForeignPolicy'"),
+    ("auto", "", 256, False, "paper", "foreign", "object", "'_ForeignPolicy'"),
+    ("auto", "", 100, False, "paper", "odd-criterion", "object", "no packed key"),
+    ("auto", "", 256, False, "paper", "odd-criterion", "object", "no packed key"),
+    # explicit requests
+    ("object", "", 25, False, "paper", "fixed", "object", "object engine requested"),
+    ("object", "", 256, False, "paper", "fixed", "object", "object engine requested"),
+    ("columnar", "", 25, False, "paper", "fixed", "columnar", "columnar engine requested"),
+    ("columnar", "", 256, False, "paper", "fixed", "columnar", "columnar engine requested"),
+    ("columnar", "", 255, False, "2-link", "criterion", "columnar", "columnar engine requested"),
+    ("columnar", "", 255, True, "paper", "fixed", "object", "recording"),
+    ("columnar", "", 255, False, "2-cpu", "criterion", "object", "multi-CPU"),
+    ("columnar", "", 255, False, "paper", "foreign", "object", "only implemented by the object kernel"),
+    ("columnar", "", 255, False, "paper", "odd-criterion", "object", "no packed key"),
+    ("batched", "", 1, False, "paper", "fixed", "batched", "batched engine requested"),
+    ("batched", "", 256, False, "paper", "fixed", "batched", "batched engine requested"),
+    ("batched", "", 256, False, "2-link", "fixed", "columnar", "multi-link"),
+    ("batched", "", 255, False, "paper", "corrected", "columnar", "only fixed-order"),
+    ("batched", "", 25, False, "paper", "criterion", "columnar", "only fixed-order"),
+    ("batched", "", 255, True, "paper", "fixed", "object", "recording"),
+    ("batched", "", 256, False, "2-cpu", "fixed", "object", "multi-CPU"),
     # REPRO_ENGINE overrides auto only
-    (None, "columnar", 255, 15, False, "paper", "fixed", "columnar", "columnar engine requested"),
-    ("auto", "columnar", 256, 16, False, "paper", "fixed", "columnar", "columnar engine requested"),
-    ("auto", "columnar", 256, 16, True, "paper", "fixed", "object", "recording"),
-    ("auto", "batched", 255, 15, False, "paper", "fixed", "batched", "batched engine requested"),
-    (None, "batched", 255, 15, False, "paper", "criterion", "columnar", "only fixed-order"),
-    (None, "batched", 255, 15, False, "2-cpu", "fixed", "object", "multi-CPU"),
-    (None, "object", 256, 16, False, "paper", "fixed", "object", "object engine requested"),
-    ("object", "columnar", 256, 16, False, "paper", "fixed", "object", "object engine requested"),
-    ("columnar", "batched", 256, 16, False, "paper", "fixed", "columnar", "columnar engine requested"),
+    (None, "columnar", 25, False, "paper", "fixed", "columnar", "columnar engine requested"),
+    ("auto", "columnar", 256, False, "paper", "fixed", "columnar", "columnar engine requested"),
+    ("auto", "columnar", 256, True, "paper", "fixed", "object", "recording"),
+    ("auto", "batched", 25, False, "paper", "fixed", "batched", "batched engine requested"),
+    (None, "batched", 255, False, "paper", "criterion", "columnar", "only fixed-order"),
+    (None, "batched", 255, False, "2-cpu", "fixed", "object", "multi-CPU"),
+    (None, "object", 25, False, "paper", "fixed", "object", "object engine requested"),
+    (None, "object", 256, False, "paper", "fixed", "object", "object engine requested"),
+    ("object", "columnar", 256, False, "paper", "fixed", "object", "object engine requested"),
+    ("columnar", "batched", 256, False, "paper", "fixed", "columnar", "columnar engine requested"),
 ]
 
-
-@pytest.mark.parametrize(
-    "request_, env, n, lanes, record, machine, kind, engine, reason", _PLAN_TABLE
+#: Reasons decided before the plan packs a columnar view.
+_DECIDED_UNPACKED = (
+    "object engine requested",
+    "recording",
+    "multi-CPU",
+    "only implemented by the object kernel",
 )
+
+
+@pytest.mark.parametrize("request_, env, n, record, machine, kind, engine, reason", _PLAN_TABLE)
 def test_plan_engine_decision_table(
-    monkeypatch, request_, env, n, lanes, record, machine, kind, engine, reason
+    monkeypatch, request_, env, n, record, machine, kind, engine, reason
 ):
     if env:
         monkeypatch.setenv(ENGINE_ENV_VAR, env)
@@ -336,14 +374,40 @@ def test_plan_engine_decision_table(
         engine=request_,
         machine=_MACHINES[machine],
         record=record,
-        lanes=lanes,
     )
     assert planned == engine, why
     assert reason in why
-    if reason in (_BELOW_TASKS, "object engine requested"):
-        # Decided on the request and task count alone: no columnar view is
-        # packed, which keeps small auto rows as cheap as the object kernel.
-        assert columnar_view(instance, build=False) is None
+    packed = columnar_view(instance, build=False)
+    if any(decided in why for decided in _DECIDED_UNPACKED):
+        # Declined on the request, the machine or the policy type alone:
+        # an object-kernel run packs no columnar view.
+        assert packed is None
+    if planned != "object":
+        # The view the plan packed is the one the fast kernel runs on.
+        assert packed is not None
+
+
+def _release_dated(n: int) -> Instance:
+    instance = make_instance(n, capacity=8.0)
+    return instance.with_releases({instance.tasks[0].name: 1.5})
+
+
+@pytest.mark.parametrize("n", [1, 25, 256])
+def test_auto_keeps_the_object_kernel_for_release_dates_and_foreign_comp_orders(n):
+    dated = _release_dated(n)
+    planned, why = plan_engine(dated, FixedOrderPolicy(dated.tasks))
+    assert planned == "object" and "release" in why
+    instance = make_instance(n, capacity=8.0)
+    planned, why = plan_engine(
+        instance, _policy("criterion", instance), comp_order=list(instance.task_names)
+    )
+    assert planned == "object" and "comp_order" in why
+    # A fixed order with a comp_order is the two-order scan the columnar
+    # kernel replays.
+    planned, why = plan_engine(
+        instance, FixedOrderPolicy(instance.tasks), comp_order=list(instance.task_names)
+    )
+    assert (planned, why) == ("columnar", _AUTO)
 
 
 class TestResolveEngine:
@@ -358,7 +422,8 @@ class TestResolveEngine:
 
     def test_none_means_auto(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        assert self.plan(None) == self.plan("AUTO") == "object"  # below the threshold
+        assert self.plan(None) == self.plan("AUTO") == "columnar"  # 12 tasks
+        assert plan_engine(self.instance, self.policy)[1] == _AUTO
         assert self.plan("object") == "object"
         assert self.plan("columnar") == "columnar"
 
@@ -429,25 +494,35 @@ class TestSupportMatrix:
 # --------------------------------------------------------------------------- #
 class TestEngineDispatch:
     def test_auto_picks_columnar_for_large_instances(self):
-        big = make_instance(COLUMNAR_AUTO_THRESHOLD)
+        big = make_instance(256)
         assert simulate(big, FixedOrderPolicy(big.tasks)).engine == "columnar"
 
-    def test_auto_keeps_the_object_kernel_for_small_instances(self):
+    def test_auto_picks_columnar_for_small_instances(self):
         small = make_instance(10)
-        assert simulate(small, FixedOrderPolicy(small.tasks)).engine == "object"
+        result = simulate(small, FixedOrderPolicy(small.tasks))
+        assert result.engine == "columnar"
+        assert result.schedule == simulate(
+            small, FixedOrderPolicy(small.tasks), engine="object"
+        ).schedule
+
+    def test_auto_recording_runs_the_object_kernel_without_packing(self):
+        small = make_instance(10)
+        result = simulate(small, FixedOrderPolicy(small.tasks), record=True)
+        assert result.engine == "object"
+        assert result.trace is not None
         assert columnar_view(small, build=False) is None  # nothing was packed
 
-    def test_forced_columnar_runs_below_the_threshold(self):
+    def test_forced_columnar_runs_a_small_instance(self):
         small = make_instance(10)
         result = simulate(small, FixedOrderPolicy(small.tasks), engine="columnar")
         assert result.engine == "columnar"
 
-    def test_forced_object_runs_above_the_threshold(self):
-        big = make_instance(COLUMNAR_AUTO_THRESHOLD)
+    def test_forced_object_runs_a_large_instance(self):
+        big = make_instance(256)
         assert simulate(big, FixedOrderPolicy(big.tasks), engine="object").engine == "object"
 
     def test_columnar_falls_back_gracefully_when_unsupported(self):
-        big = make_instance(COLUMNAR_AUTO_THRESHOLD)
+        big = make_instance(256)
         result = simulate(big, FixedOrderPolicy(big.tasks), engine="columnar", record=True)
         assert result.engine == "object"
         assert result.trace is not None
@@ -478,9 +553,10 @@ class TestFacadePlumbing:
         assert col.schedule == obj.schedule == default.schedule
         assert col.makespan == obj.makespan
 
-    def test_solve_auto_uses_the_threshold(self):
-        big = make_instance(COLUMNAR_AUTO_THRESHOLD, capacity=9.0)
-        assert solve(big, "OS", engine="auto").engine == "columnar"
+    @pytest.mark.parametrize("n", [5, 256])
+    def test_solve_auto_runs_columnar(self, n):
+        instance = make_instance(n, capacity=9.0)
+        assert solve(instance, "OS", engine="auto").engine == "columnar"
 
     def test_study_engine_validates_choices(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -495,11 +571,11 @@ class TestFacadePlumbing:
             .traces(trace)
             .capacities(1.5)
             .solvers("OS", "LCMR", "OOMAMR")
-            .engine("columnar")
+            .engine("object")
             .run()
         )
-        assert set(default.column("engine")) == {"object"}
-        assert set(forced.column("engine")) == {"columnar"}
+        assert set(default.column("engine")) == {"columnar"}
+        assert set(forced.column("engine")) == {"object"}
         assert forced.column("makespan") == default.column("makespan")
         assert forced.column("ratio_to_optimal") == default.column("ratio_to_optimal")
 

@@ -1,7 +1,7 @@
 """Differential tests: the columnar engine is bit-identical to the kernel.
 
 Property-based cross-check on randomly generated instances sweeping task
-count (including above the auto-dispatch threshold), capacity pressure
+count (up to 400 tasks), capacity pressure
 (near-capacity, relaxed, infinite), zero-length transfers/computations and
 multi-link machines: every supported configuration must produce *exactly*
 the same schedule through :func:`simulate_columnar` as through the object
@@ -240,7 +240,7 @@ def test_two_order_variant_matches_kernel_and_seed():
     assert checked_deadlocks > 0 and compared > checked_deadlocks
 
 
-def test_large_instances_cross_the_dispatch_threshold_identically():
+def test_large_auto_runs_match_the_object_kernel():
     rng = np.random.default_rng(3)
     instance = random_instance(rng, 0, n_lo=400, n_hi=401)
     mc = max(task.memory for task in instance.tasks)
