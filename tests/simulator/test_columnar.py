@@ -226,8 +226,9 @@ class TestVectorizedOrders:
         fast = columnar_johnson_order(instance)
         assert [t.name for t in fast] == [t.name for t in johnson_order(instance.tasks)]
 
-    def test_small_instances_pack_the_view_for_their_order(self):
-        instance = self.tied_instance(n=10)
+    @pytest.mark.parametrize("n", [10, 256])
+    def test_orders_pack_the_view_on_demand(self, n):
+        instance = self.tied_instance(n=n)
         assert columnar_view(instance, build=False) is None
         order = columnar_key_order(instance, key="comm")
         view = columnar_view(instance, build=False)
@@ -238,11 +239,6 @@ class TestVectorizedOrders:
         johnson = columnar_johnson_order(instance)
         assert columnar_view(instance, build=False) is view
         assert [t.name for t in johnson] == [t.name for t in johnson_order(instance.tasks)]
-
-    def test_large_instances_build_the_view_on_demand(self):
-        instance = make_instance(256)
-        assert columnar_key_order(instance, key="total", reverse=True) is not None
-        assert columnar_view(instance, build=False) is not None
 
     def test_unknown_key_raises(self):
         with pytest.raises(ValueError, match="unknown order key"):
