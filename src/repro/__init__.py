@@ -106,7 +106,7 @@ from .simulator import (
     simulate_in_batches,
 )
 
-__version__ = "5.0.0"
+__version__ = "5.1.0"
 
 __all__ = [
     "Task",

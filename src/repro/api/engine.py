@@ -12,6 +12,8 @@ backend produces a byte-identical :class:`~repro.api.results.ResultSet`.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 import tempfile
@@ -21,8 +23,13 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .. import obs
 from ..core.instance import Instance
-from ..core.metrics import evaluate, evaluate_online
-from ..core.validation import check_schedule
+from ..core.metrics import evaluate_online
+
+# The block passes are bound as ``evaluate`` and ``check_schedule``: perfbench
+# times the metrics and validation layers by wrapping these two names.
+from ..core.metrics import evaluate_schedules as evaluate
+from ..core.schedule import BLOCK_EVENTS, Schedule
+from ..core.validation import check_schedules as check_schedule
 from ..flowshop.johnson import omim_makespan
 from ..simulator.arrivals import ArrivalProcess, resolve_arrivals
 from ..simulator.batch import simulate_in_batches
@@ -138,8 +145,9 @@ def run_solvers_on_instance(
     request (``None`` means ``"auto"``, which
     :func:`~repro.simulator.columnar.plan_engine` resolves per run); no
     events are recorded, since each row's metrics come from one interval
-    sweep over its schedule, and a feasible array-engine schedule is
-    validated and measured on its columns without building row objects.
+    sweep over its schedule, and the array engines' schedules are
+    validated and measured together, a block of rows at a time, without
+    building row objects.
 
     ``precomputed`` maps solver indices to simulation outcomes computed
     ahead of this call (the sweep's cross-instance batch plane); captured
@@ -147,11 +155,51 @@ def run_solvers_on_instance(
     matches the per-instance path exactly.
     """
     reference = omim_makespan(instance) if reference is None else reference
+    rows = _solver_rows(
+        instance,
+        solvers,
+        application=application,
+        capacity_factor=capacity_factor,
+        batch_size=batch_size,
+        pipelined=pipelined,
+        machine=machine,
+        engine=engine,
+        precomputed=precomputed,
+    )
+    return _measured_records(rows, reference=reference, validate=validate, machine=machine)
+
+
+@dataclass(frozen=True, slots=True)
+class _Row:
+    """One solver's run on one instance, waiting to be measured."""
+
+    instance: Instance
+    schedule: Schedule
+    heuristic: str
+    category: str
+    application: str
+    capacity_factor: float
+    engine: str
+    stats: object
+    outcome: object
+
+
+def _solver_rows(
+    instance: Instance,
+    solvers: Sequence[Solver],
+    *,
+    application: str,
+    capacity_factor: float,
+    batch_size: int | None,
+    pipelined: bool,
+    machine: MachineModel | None,
+    engine: str | None,
+    precomputed: "Mapping[int, object] | None",
+) -> Iterator[_Row]:
+    """Run each solver on ``instance`` in turn and yield its unmeasured row."""
     application = application or instance.name.split("/")[0] or ADHOC_APPLICATION
-    online = instance.has_releases
     _normalise_engine(engine)  # unknown names fail before any solver runs
     traced = obs.is_enabled()
-    records = []
     for index, solver in enumerate(solvers):
         result = precomputed.get(index) if precomputed is not None else None
         if isinstance(result, BaseException):
@@ -172,42 +220,115 @@ def run_solvers_on_instance(
         elif result is None and machine is not None:
             raise ValueError(f"solver {solver.name!r} does not run on the simulation kernel")
         schedule = solver.schedule(instance) if result is None else result.schedule
-        ran_engine = getattr(result, "engine", "")
-        stats = getattr(result, "stats", None)
-        if validate:
-            check_schedule(schedule, instance, machine=machine)
-        metrics = evaluate(schedule, instance, heuristic=solver.name, reference=reference)
-        online_metrics = evaluate_online(schedule) if online else None
         # Batched execution runs the solver once per window, so last_outcome
         # only describes the final batch — leave the attribution columns
-        # empty rather than recording a misleading partial answer.
+        # empty rather than recording a misleading partial answer.  Read it
+        # now: a sweep reuses each solver on every factor before the block
+        # is measured.
         outcome = getattr(solver, "last_outcome", None) if batch_size is None else None
+        yield _Row(
+            instance=instance,
+            schedule=schedule,
+            heuristic=solver.name,
+            category=str(solver.category),
+            application=application,
+            capacity_factor=capacity_factor,
+            engine=getattr(result, "engine", "") or "",
+            stats=getattr(result, "stats", None),
+            outcome=outcome,
+        )
+
+
+def _measured_records(
+    rows: Iterable[_Row],
+    *,
+    reference: float,
+    validate: bool,
+    machine: MachineModel | None,
+) -> list[RunRecord]:
+    """Validate, measure and record ``rows``, a block at a time.
+
+    Rows accumulate until they hold :data:`~repro.core.schedule.BLOCK_EVENTS`
+    memory events; then one :func:`~repro.core.validation.check_schedules`
+    and one :func:`~repro.core.metrics.evaluate_schedules` pass measure the
+    block and its schedules are released.  The verdicts, metrics and the
+    first error are those of measuring each row right after its run.
+    """
+    records: list[RunRecord] = []
+    pending: list[_Row] = []
+    events = 0
+    measure = functools.partial(_measure, reference=reference, validate=validate, machine=machine)
+    rows = iter(rows)
+    while True:
+        try:
+            row = next(rows, None)
+        except Exception:
+            # A solver failed after the pending rows ran: an infeasible one
+            # among them fails first, as it would have row by row.
+            if validate and pending:
+                check_schedule(
+                    [row.schedule for row in pending],
+                    [row.instance for row in pending],
+                    machine=machine,
+                )
+            raise
+        if row is None:
+            break
+        if pending and events + 2 * len(row.instance) > BLOCK_EVENTS:
+            records += measure(pending)
+            pending, events = [], 0
+        pending.append(row)
+        events += 2 * len(row.instance)
+    if pending:
+        records += measure(pending)
+    return records
+
+
+def _measure(
+    rows: Sequence[_Row],
+    *,
+    reference: float,
+    validate: bool,
+    machine: MachineModel | None,
+) -> list[RunRecord]:
+    """One block pass over ``rows``, then their records."""
+    schedules = [row.schedule for row in rows]
+    instances = [row.instance for row in rows]
+    if validate:
+        check_schedule(schedules, instances, machine=machine)
+    metrics = evaluate(
+        schedules,
+        instances,
+        heuristics=[row.heuristic for row in rows],
+        references=[reference] * len(rows),
+    )
+    records = []
+    for row, measured in zip(rows, metrics):
+        online = evaluate_online(row.schedule) if row.instance.has_releases else None
+        outcome = row.outcome
+        stats = row.stats
         records.append(
             RunRecord(
-                application=application,
-                trace=instance.name,
-                heuristic=solver.name,
-                category=str(solver.category),
-                capacity_factor=capacity_factor,
-                capacity=instance.capacity,
-                makespan=metrics.makespan,
-                omim=metrics.omim,
-                ratio_to_optimal=metrics.ratio_to_optimal,
-                task_count=len(instance),
-                mean_response_time=(
-                    online_metrics.mean_response_time if online_metrics else math.nan
-                ),
-                mean_stretch=online_metrics.mean_stretch if online_metrics else math.nan,
-                avg_queue_length=(
-                    online_metrics.avg_queue_length if online_metrics else math.nan
-                ),
+                application=row.application,
+                trace=row.instance.name,
+                heuristic=row.heuristic,
+                category=row.category,
+                capacity_factor=row.capacity_factor,
+                capacity=row.instance.capacity,
+                makespan=measured.makespan,
+                omim=measured.omim,
+                ratio_to_optimal=measured.ratio_to_optimal,
+                task_count=len(row.instance),
+                mean_response_time=online.mean_response_time if online else math.nan,
+                mean_stretch=online.mean_stretch if online else math.nan,
+                avg_queue_length=online.avg_queue_length if online else math.nan,
                 selected_solver=outcome.selected if outcome is not None else "",
                 cache_hit=(
                     math.nan
                     if outcome is None or outcome.cache_hit is None
                     else float(outcome.cache_hit)
                 ),
-                engine=ran_engine or "",
+                engine=row.engine,
                 kernel_events=stats.events if stats is not None else 0,
                 memory_wait_s=stats.memory_wait_s if stats is not None else math.nan,
             )
@@ -334,35 +455,33 @@ def _sweep_one_trace(
         )
     reference = omim_makespan(base)
     mc = trace.min_capacity_bytes
-    # Every factor shares one task tuple, converted once: capacity-free
-    # static orders are then resolved once per trace, not once per factor.
-    tasks = base.tasks if releases is None else base.with_releases(releases).tasks
-    instances = [
-        Instance(tasks, capacity=mc * factor, name=base.name) for factor in capacity_factors
-    ]
+    # Every factor shares one task tuple (and its batch chunks), converted
+    # once: capacity-free orders are then resolved once per trace, not once
+    # per factor.
+    shared = base if releases is None else base.with_releases(releases)
+    instances = [shared.with_capacity(mc * factor) for factor in capacity_factors]
     # One batch plane across the whole factor × solver grid: every plain
     # fixed-order lane advances in lockstep, the rest run per-instance.
     precomputed = _batched_precomputed(
         instances, solvers, machine=machine, engine=engine, batch_size=batch_size
     )
-    records: list[RunRecord] = []
-    for fi, (factor, instance) in enumerate(zip(capacity_factors, instances)):
-        records.extend(
-            run_solvers_on_instance(
-                instance,
-                solvers,
-                reference=reference,
-                validate=validate,
-                application=trace.application,
-                capacity_factor=factor,
-                batch_size=batch_size,
-                pipelined=pipelined,
-                machine=machine,
-                engine=engine,
-                precomputed=None if precomputed is None else precomputed[fi],
-            )
+    # The factors' rows share the task tuple, so they are measured together:
+    # a block spans factors, not one instance's 14 rows.
+    rows = itertools.chain.from_iterable(
+        _solver_rows(
+            instance,
+            solvers,
+            application=trace.application,
+            capacity_factor=factor,
+            batch_size=batch_size,
+            pipelined=pipelined,
+            machine=machine,
+            engine=engine,
+            precomputed=None if precomputed is None else precomputed[fi],
         )
-    return records
+        for fi, (factor, instance) in enumerate(zip(capacity_factors, instances))
+    )
+    return _measured_records(rows, reference=reference, validate=validate, machine=machine)
 
 
 def _sweep_one_instance(

@@ -7,6 +7,7 @@ from .metrics import (
     ScheduleMetrics,
     evaluate,
     evaluate_online,
+    evaluate_schedules,
     idle_fractions,
     overlap_fraction,
     ratio_to_optimal,
@@ -34,6 +35,7 @@ from .validation import (
     ValidationReport,
     Violation,
     check_schedule,
+    check_schedules,
     validate_schedule,
 )
 
@@ -55,10 +57,12 @@ __all__ = [
     "area_lower_bound",
     "bounds",
     "check_schedule",
+    "check_schedules",
     "corrected_example_instance",
     "dynamic_example_instance",
     "evaluate",
     "evaluate_online",
+    "evaluate_schedules",
     "idle_fractions",
     "max_memory",
     "max_release",

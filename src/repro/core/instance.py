@@ -58,6 +58,9 @@ class Instance:
         object.__setattr__(self, "capacity", float(capacity))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_has_releases", any(t.release > 0.0 for t in tasks))
+        # Batch size -> chunk tuples; shared with the derived instances of
+        # with_capacity, which keep the same task tuple (see batches()).
+        object.__setattr__(self, "_chunks", {})
 
     # ------------------------------------------------------------------ #
     # Container protocol
@@ -156,8 +159,11 @@ class Instance:
     # Derivations
     # ------------------------------------------------------------------ #
     def with_capacity(self, capacity: float) -> "Instance":
-        """Same tasks under a different memory capacity."""
-        return Instance(self.tasks, capacity=capacity, name=self.name)
+        """Same tasks under a different memory capacity (and the same batch
+        chunks)."""
+        derived = Instance(self.tasks, capacity=capacity, name=self.name)
+        object.__setattr__(derived, "_chunks", self._chunks)
+        return derived
 
     def with_capacity_factor(self, factor: float) -> "Instance":
         """Capacity expressed as a multiple of ``mc`` (paper sweeps 1.0–2.0)."""
@@ -218,14 +224,21 @@ class Instance:
 
         Unnamed instances get deterministic ``"batch-<k>"`` fallback names, so
         batch provenance survives into downstream
-        :class:`~repro.api.results.ResultSet` rows.
+        :class:`~repro.api.results.ResultSet` rows.  The chunk tuples are
+        sliced once per batch size and shared by every instance derived
+        through :meth:`with_capacity`, so a capacity sweep's batches reuse
+        the orders heuristics keep per task tuple.
         """
         if batch_size <= 0:
             raise ValueError("batch size must be positive")
+        chunks = self._chunks.get(batch_size)
+        if chunks is None:
+            chunks = self._chunks[batch_size] = tuple(
+                self.tasks[start : start + batch_size]
+                for start in range(0, len(self.tasks), batch_size)
+            )
         out = []
-        for start in range(0, len(self.tasks), batch_size):
-            chunk = self.tasks[start : start + batch_size]
-            index = start // batch_size
+        for index, chunk in enumerate(chunks):
             name = f"{self.name}[batch {index}]" if self.name else f"batch-{index}"
             out.append(Instance(chunk, capacity=self.capacity, name=name))
         return out

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .bounds import omim as _omim
 from .instance import Instance
-from .schedule import Schedule
+from .schedule import IntervalSweep, Schedule, placement_blocks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (core must not import simulator)
     from ..simulator.events import EventTrace
@@ -29,6 +29,7 @@ __all__ = [
     "ScheduleMetrics",
     "OnlineMetrics",
     "evaluate",
+    "evaluate_schedules",
     "evaluate_online",
 ]
 
@@ -163,24 +164,63 @@ def evaluate(
 ) -> ScheduleMetrics:
     """Bundle every metric for one (heuristic, instance) run.
 
-    The overlap, idle and peak-memory accounting comes from one O(n log n)
-    interval sweep (:func:`~repro.core.schedule.sweep_intervals`) over the
-    kernel's structured event ``trace`` when one is given, else over the
-    schedule's placements; both give bit-identical metrics.
+    :func:`evaluate_schedules` on one row.
     """
-    ref = _omim(instance) if reference is None else reference
-    makespan = schedule.makespan
-    sweep = (schedule if trace is None else trace).interval_sweep()
-    return ScheduleMetrics(
-        heuristic=heuristic,
-        instance=instance.name,
-        capacity=instance.capacity,
-        makespan=makespan,
-        omim=ref,
-        ratio_to_optimal=(makespan / ref) if ref > 0 else (1.0 if makespan == 0 else math.inf),
-        peak_memory=sweep.peak_memory,
-        overlap_time=sweep.overlap_time,
-        communication_idle=sweep.communication_idle,
-        computation_idle=sweep.computation_idle,
-        task_count=len(schedule),
-    )
+    return evaluate_schedules(
+        (schedule,), (instance,), heuristics=(heuristic,), references=(reference,), traces=(trace,)
+    )[0]
+
+
+def evaluate_schedules(
+    schedules: Sequence[Schedule],
+    instances: Sequence[Instance],
+    *,
+    heuristics: Sequence[str],
+    references: Sequence[float | None],
+    traces: "Sequence[EventTrace | None] | None" = None,
+) -> list[ScheduleMetrics]:
+    """Every metric of every row ``(schedules[i], instances[i])``.
+
+    The overlap, idle and peak-memory accounting comes from one O(n log n)
+    interval sweep per row (:func:`~repro.core.schedule.sweep_intervals`),
+    over the kernel's structured event trace where ``traces[i]`` is given,
+    else over the schedule's placements; both give bit-identical metrics.
+    Rows drawn from a packed task tuple run that sweep together, a
+    :class:`~repro.core.schedule.PlacementBlock` at a time, with each row's
+    own arithmetic; the rows a block does not decide sweep alone.
+    """
+    count = len(schedules)
+    traces = (None,) * count if traces is None else traces
+    makespans: list[float | None] = [None] * count
+    sweeps: list[IntervalSweep | None] = [None] * count
+    untraced = [schedule if trace is None else None for schedule, trace in zip(schedules, traces)]
+    for rows, block in placement_blocks(untraced):
+        for row, makespan, sweep in zip(rows, block.makespans().tolist(), block.interval_sweeps()):
+            if sweep is not None:
+                makespans[row], sweeps[row] = makespan, sweep
+    metrics = []
+    for schedule, instance, heuristic, reference, trace, makespan, sweep in zip(
+        schedules, instances, heuristics, references, traces, makespans, sweeps
+    ):
+        if sweep is None:
+            makespan = schedule.makespan
+            sweep = (schedule if trace is None else trace).interval_sweep()
+        ref = _omim(instance) if reference is None else reference
+        metrics.append(
+            ScheduleMetrics(
+                heuristic=heuristic,
+                instance=instance.name,
+                capacity=instance.capacity,
+                makespan=makespan,
+                omim=ref,
+                ratio_to_optimal=(
+                    (makespan / ref) if ref > 0 else (1.0 if makespan == 0 else math.inf)
+                ),
+                peak_memory=sweep.peak_memory,
+                overlap_time=sweep.overlap_time,
+                communication_idle=sweep.communication_idle,
+                computation_idle=sweep.computation_idle,
+                task_count=len(schedule),
+            )
+        )
+    return metrics

@@ -19,13 +19,18 @@ through its packed columns, the kernel's event trace through its recorded
 intervals — and the sweep's sums do not depend on the order of their input,
 so the same placements give bit-identical metrics whichever form they come
 in.
+
+Schedules drawn from one packed task tuple (a capacity sweep's rows) also
+stack into a :class:`PlacementBlock`, whose ``(rows, n)`` matrices run the
+same sweep along axis 1 for every row at once, each row with its own
+arithmetic; :func:`placement_blocks` groups them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +42,10 @@ __all__ = [
     "MemoryEvent",
     "ScheduleColumns",
     "IntervalSweep",
+    "SourcePlacement",
+    "PlacementBlock",
+    "BLOCK_EVENTS",
+    "placement_blocks",
     "busy_union",
     "memory_steps",
     "sweep_intervals",
@@ -260,14 +269,250 @@ def sweep_intervals(
     )
 
 
+#: Memory events (two per task and row) one :class:`PlacementBlock` stacks.
+#: A block's temporaries take about 160 bytes per event, so a block stays
+#: near 1.3 MiB whatever the trace: a 25-task capacity sweep (9 factors x 14
+#: solvers, 6300 events) is one block, 529- and 1000-task sweeps run seven
+#: and four rows at a time.
+BLOCK_EVENTS = 8192
+
+
+class SourcePlacement(NamedTuple):
+    """A schedule's placements over the packed task tuple they came from."""
+
+    #: The packed task tuple.
+    tasks: tuple[Task, ...]
+    #: ``(comm, comp, memory)`` of every task, in task order.
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray]
+    #: Task indices in placement order.
+    placed: np.ndarray
+    #: Transfer and computation start of every task, in task order.
+    comm_starts: np.ndarray
+    comp_starts: np.ndarray
+
+
+def placement_blocks(
+    schedules: Sequence["Schedule | None"],
+) -> Iterator[tuple[list[int], "PlacementBlock"]]:
+    """Stack the schedules drawn from a packed task tuple into blocks.
+
+    Yields ``(rows, block)``: ``block`` stacks the schedules at positions
+    ``rows``, all drawn from one task tuple, at most :data:`BLOCK_EVENTS`
+    memory events at a time.  Free-standing schedules (and ``None``) are
+    left out; so are empty tuples and placements of another length.
+    """
+    groups: dict[int, list[tuple[int, SourcePlacement]]] = {}
+    for row, schedule in enumerate(schedules):
+        source = None if schedule is None else schedule.source_placement()
+        if source is None or not source.tasks or not all(
+            len(column) == len(source.tasks)
+            for column in (source.placed, source.comm_starts, source.comp_starts)
+        ):
+            continue
+        groups.setdefault(id(source.tasks), []).append((row, source))
+    for members in groups.values():
+        size = max(1, BLOCK_EVENTS // (2 * len(members[0][1].tasks)))
+        for start in range(0, len(members), size):
+            chunk = members[start : start + size]
+            yield [row for row, _ in chunk], PlacementBlock([source for _, source in chunk])
+
+
+class PlacementBlock:
+    """Schedules of one task tuple stacked as ``(rows, n)`` matrices.
+
+    Row ``r`` holds the ``r``-th schedule's columns in its placement order,
+    exactly as :meth:`Schedule.columns` gives them, so each axis-1 operation
+    runs the same sequence of float operations on each row as the 1-D sweep
+    does on that schedule: the sorts put each row's events in the 1-D
+    sweep's order, ``cumsum`` and ``maximum.accumulate`` are sequential
+    along the axis, masked-out slots hold ``+inf`` with step 0, and each
+    row's idle and overlap sums stay ``math.fsum`` over that row's own
+    segments.
+    """
+
+    __slots__ = (
+        "tasks",
+        "task_columns",
+        "complete",
+        "comm_start",
+        "comm",
+        "comm_end",
+        "comp_start",
+        "comp",
+        "comp_end",
+        "memory",
+    )
+
+    def __init__(self, sources: Sequence[SourcePlacement]) -> None:
+        self.tasks = sources[0].tasks
+        self.task_columns = sources[0].columns
+        placed = np.array([source.placed for source in sources], dtype=np.intp)
+        every = np.arange(placed.shape[1])
+        #: Rows whose placement lists every task exactly once; the others
+        #: decide nothing and gather in task order.
+        self.complete = (np.sort(placed, axis=1) == every).all(axis=1)
+        placed[~self.complete] = every
+        comm, comp, memory = self.task_columns
+        self.comm_start, self.comp_start = _gather(
+            placed,
+            np.array([source.comm_starts for source in sources], dtype=np.float64),
+            np.array([source.comp_starts for source in sources], dtype=np.float64),
+        )
+        self.comm, self.comp, self.memory = comm[placed], comp[placed], memory[placed]
+        self.comm_end = self.comm_start + self.comm
+        self.comp_end = self.comp_start + self.comp
+
+    def __len__(self) -> int:
+        return len(self.complete)
+
+    def memory_profile(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every row's :func:`memory_steps`, before merging: ``(times, usage,
+        ends, decided)``.
+
+        ``times`` are the row's sorted event instants and ``usage`` the
+        running sum after each event; ``ends`` marks the last event of each
+        instant, where ``usage`` is the instant's step.  Residue at a row's
+        last instant is clamped to zero as :func:`memory_steps` does.
+        ``decided`` is false for a row whose steps this cannot give: an
+        incomplete placement, a non-finite instant, residue before the last
+        instant (the 1-D sweep re-sums after it), or instants within the
+        merge tolerance.
+        """
+        # Releases first: a stable sort by time alone then orders each
+        # instant's events by delta wherever its deltas are distinct, and
+        # each half is nearly sorted already, which the stable sort merges
+        # in linear time.  Rows with an instant where it does not (equal
+        # deltas, or two releases or acquires out of order) take the
+        # lexsort of the 1-D sweep.
+        times = np.concatenate((self.comp_end, self.comm_start), axis=1)
+        deltas = np.concatenate((-self.memory, self.memory), axis=1)
+        times, deltas = _gather(np.argsort(times, axis=1, kind="stable"), times, deltas)
+        ties = times[:, 1:] == times[:, :-1]
+        resort = np.flatnonzero((ties & (deltas[:, 1:] <= deltas[:, :-1])).any(axis=1))
+        if len(resort):
+            times[resort], deltas[resort] = _lexsorted(
+                np.concatenate((self.comm_start[resort], self.comp_end[resort]), axis=1),
+                np.concatenate((self.memory[resort], -self.memory[resort]), axis=1),
+            )
+        usage = np.cumsum(deltas, axis=1)
+        ends = np.empty(times.shape, dtype=bool)
+        np.not_equal(times[:, 1:], times[:, :-1], out=ends[:, :-1])
+        ends[:, -1] = True
+        residue = ends & (usage > -1e-9) & (usage < 0)
+        usage[residue[:, -1], -1] = 0.0
+        with np.errstate(invalid="ignore"):
+            gaps = times[:, 1:] - times[:, :-1]
+            tolerance = 1e-9 + 1e-12 * np.abs(times).max(axis=1)
+        close = ((gaps > 0) & (gaps <= tolerance[:, None])).any(axis=1)
+        decided = (
+            self.complete
+            & np.isfinite(times).all(axis=1)
+            & ~residue[:, :-1].any(axis=1)
+            & ~close
+        )
+        return times, usage, ends, decided
+
+    def makespans(self) -> np.ndarray:
+        """Every row's makespan, as :attr:`Schedule.makespan` computes it."""
+        return np.maximum(self.comm_end.max(axis=1), self.comp_end.max(axis=1))
+
+    def interval_sweeps(self) -> list[IntervalSweep | None]:
+        """Every row's :func:`sweep_intervals`, bit for bit; ``None`` for
+        the rows :meth:`memory_profile` does not decide."""
+        _, usage, ends, decided = self.memory_profile()
+        peaks = np.where(ends, usage, -np.inf).max(axis=1)
+        makespans = self.makespans()
+        comm = _busy_blocks(self.comm_start, self.comm_end)
+        comp = _busy_blocks(self.comp_start, self.comp_end)
+        with np.errstate(invalid="ignore"):
+            overlaps = _row_fsums(*_overlap_segments(comm, comp))
+            comm_idle = _row_fsums(_idle_gaps(comm, makespans))
+            comp_idle = _row_fsums(_idle_gaps(comp, makespans))
+        return [
+            IntervalSweep(overlap, idle_comm, idle_comp, peak) if ok else None
+            for overlap, idle_comm, idle_comp, peak, ok in zip(
+                overlaps, comm_idle, comp_idle, peaks.tolist(), decided.tolist()
+            )
+        ]
+
+
+def _lexsorted(times: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's events in :func:`memory_steps`'s ``(time, delta)`` order."""
+    return tuple(_gather(np.lexsort((deltas, times), axis=1), times, deltas))
+
+
+def _gather(order: np.ndarray, *columns: np.ndarray) -> list[np.ndarray]:
+    """``np.take_along_axis(column, order, 1)`` of equally shaped columns,
+    through one flat index."""
+    index = order + (np.arange(len(order)) * columns[0].shape[1])[:, None]
+    return [np.take(column, index) for column in columns]
+
+
+def _busy_blocks(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's :func:`busy_union`: its blocks' starts and ends in time
+    order, padded with ``+inf`` to the widest row."""
+    keep = ends > starts
+    starts = np.where(keep, starts, np.inf)
+    starts, ends = _gather(
+        np.argsort(starts, axis=1, kind="stable"), starts, np.where(keep, ends, np.inf)
+    )
+    reach = np.maximum.accumulate(ends, axis=1)
+    valid = starts < np.inf
+    opens = valid.copy()
+    opens[:, 1:] &= starts[:, 1:] > reach[:, :-1]
+    closes = valid.copy()
+    closes[:, :-1] &= opens[:, 1:] | ~valid[:, 1:]
+    width = int(opens.sum(axis=1).max())
+    return _leading(np.where(opens, starts, np.inf), opens, width), _leading(
+        np.where(closes, reach, np.inf), closes, width
+    )
+
+
+def _leading(values: np.ndarray, mask: np.ndarray, width: int) -> np.ndarray:
+    """Each row's ``values`` where ``mask``, in order, in its first columns."""
+    (leading,) = _gather(np.argsort(~mask, axis=1, kind="stable")[:, :width], values)
+    return leading
+
+
+def _idle_gaps(blocks, makespans: np.ndarray) -> np.ndarray:
+    """:func:`_idle_time`'s gaps per row: before each block, and after the
+    last one up to the makespan (the padding gives ``-inf``)."""
+    starts, ends = blocks
+    rows = len(starts)
+    upper = np.concatenate((starts, np.full((rows, 1), np.inf)), axis=1)
+    upper = np.where(upper < np.inf, upper, makespans[:, None])
+    return upper - np.concatenate((np.zeros((rows, 1)), ends), axis=1)
+
+
+def _overlap_segments(comm, comp) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_overlap_time`'s segments per row: between consecutive
+    breakpoints of both resources' blocks, where both are busy."""
+    bounds = (*comm, *comp)
+    times = np.concatenate(bounds, axis=1)
+    steps = np.concatenate(
+        [np.where(b < np.inf, step, 0) for b, step in zip(bounds, (1, -1, 1, -1))], axis=1
+    )
+    # Each of the four parts is sorted, so the stable sort merges runs.
+    times, steps = _gather(np.argsort(times, axis=1, kind="stable"), times, steps)
+    busy = np.cumsum(steps, axis=1)
+    return times[:, 1:] - times[:, :-1], busy[:, :-1] == 2
+
+
+def _row_fsums(values: np.ndarray, mask: np.ndarray | bool = True) -> list[float]:
+    """Per row, ``math.fsum`` of the positive ``values`` where ``mask``."""
+    mask = mask & (values > 0)
+    flat = values[mask].tolist()
+    sums = []
+    start = 0
+    for count in mask.sum(axis=1).tolist():
+        sums.append(math.fsum(flat[start : start + count]))
+        start += count
+    return sums
+
+
 @dataclass(frozen=True, slots=True)
 class ScheduleColumns:
-    """A schedule's placements as numpy columns, one row per entry.
-
-    ``index`` is set when the rows were drawn from a packed task tuple
-    (:attr:`Schedule.source_tasks`): entry ``k`` places
-    ``source_tasks[index[k]]``.
-    """
+    """A schedule's placements as numpy columns, one row per entry."""
 
     comm_start: np.ndarray
     comm: np.ndarray
@@ -276,7 +521,6 @@ class ScheduleColumns:
     comp: np.ndarray
     comp_end: np.ndarray
     memory: np.ndarray
-    index: np.ndarray | None = None
 
     def memory_events(self) -> tuple[np.ndarray, np.ndarray]:
         """``(times, deltas)``: acquire at transfer start, release at computation end."""
@@ -408,10 +652,9 @@ class Schedule:
             memory=memory,
         )
 
-    @property
-    def source_tasks(self) -> tuple[Task, ...] | None:
-        """The packed task tuple the rows are drawn from (see
-        :attr:`ScheduleColumns.index`); ``None`` for free-standing rows."""
+    def source_placement(self) -> "SourcePlacement | None":
+        """The placements over the packed task tuple they were drawn from;
+        ``None`` for free-standing rows."""
         return None
 
     def interval_sweep(self) -> IntervalSweep:

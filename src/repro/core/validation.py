@@ -11,11 +11,11 @@ A schedule is feasible for an instance with capacity ``C`` when
 6. no task starts its transfer before its release (arrival) date.
 
 The checks report *all* violations (not just the first) so tests and the
-experiment harness can produce actionable diagnostics.  :func:`check_schedule`
-first tries a column-level certificate of the same rules on schedules drawn
-from the instance's own packed task tuple (the array engines' schedules), so
-a feasible run is accepted without building row objects; anything the
-certificate cannot certify gets the full report.
+experiment harness can produce actionable diagnostics.  :func:`check_schedules`
+first tries a certificate of the same rules on the schedules drawn from their
+instance's own packed task tuple (the array engines' schedules), stacked a
+block of rows at a time, so a feasible run is accepted without building row
+objects; anything the certificate cannot certify gets the full report.
 """
 
 from __future__ import annotations
@@ -27,7 +27,15 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .instance import Instance
-from .schedule import Schedule, ScheduleColumns, ScheduledTask, memory_steps
+from .schedule import (
+    PlacementBlock,
+    Schedule,
+    ScheduleColumns,
+    ScheduledTask,
+    _gather,
+    memory_steps,
+    placement_blocks,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (core must not import simulator)
     from ..simulator.resources import MachineModel
@@ -37,6 +45,7 @@ __all__ = [
     "ValidationReport",
     "validate_schedule",
     "check_schedule",
+    "check_schedules",
     "InfeasibleScheduleError",
     "TOLERANCE",
 ]
@@ -266,61 +275,108 @@ def check_schedule(
 ) -> Schedule:
     """Validate and return ``schedule``; raise :class:`InfeasibleScheduleError` otherwise.
 
-    A schedule the column-level certificate accepts is returned at once;
-    every other one gets :func:`validate_schedule`'s full report, so the
-    verdict and the error are the same as without the certificate.
+    :func:`check_schedules` on one row.
     """
-    if _certified(schedule, instance, machine):
-        return schedule
-    report = validate_schedule(schedule, instance, machine=machine)
-    if not report.is_feasible:
-        raise InfeasibleScheduleError(report)
+    check_schedules((schedule,), (instance,), machine=machine)
     return schedule
 
 
-def _certified(
-    schedule: Schedule, instance: Instance, machine: "MachineModel | None"
-) -> bool:
-    """Whether the rules hold, checked on numpy columns without row objects.
+def check_schedules(
+    schedules: Sequence[Schedule],
+    instances: Sequence[Instance],
+    *,
+    machine: "MachineModel | None" = None,
+) -> None:
+    """Check ``schedules[i]`` against ``instances[i]`` for every row.
 
-    Applies only to a schedule drawn from ``instance``'s own task tuple, so
-    rule 1 reduces to its index column being a permutation.  Each other
-    test is the float expression :func:`validate_schedule` evaluates, over
-    the same values: precedence and release per task; one resource server
-    as consecutive pairs of ``(start, end)``-sorted intervals, several as a
-    running count of starts and ends; memory on the very profile steps the
-    report reads.  ``False`` decides nothing: the caller builds the report.
+    Raises the first infeasible row's :class:`InfeasibleScheduleError`.
+    Rows drawn from their instance's own packed task tuple are certified
+    together, a block at a time (:func:`~repro.core.schedule.placement_blocks`);
+    every row the certificate does not accept gets
+    :func:`validate_schedule`'s full report, so the verdict and the error
+    are the same as for a row checked alone.
     """
-    if schedule.source_tasks is not instance.tasks:
-        return False
-    columns = schedule.columns()
-    n = len(instance.tasks)
-    index = columns.index
-    if len(index) != n or not np.array_equal(np.sort(index), np.arange(n)):
-        return False
-    if np.isnan(columns.comm + columns.comp + columns.memory).any():
-        return False  # NaN characteristics never compare equal: a task mismatch
-    if (columns.comp_start + TOLERANCE < columns.comm_end).any():
-        return False
-    if instance.has_releases:
-        release = np.array([t.release for t in instance.tasks], dtype=np.float64)[index]
-        if ((release > 0) & (columns.comm_start + TOLERANCE < release)).any():
-            return False
-    link_count, cpu_count, capacity = _effective_machine(instance, machine)
+    certified = [False] * len(schedules)
+    offline = [
+        None if instance.has_releases else schedule
+        for schedule, instance in zip(schedules, instances)
+    ]
+    for rows, block in placement_blocks(offline):
+        for row, ok in zip(rows, _certify(block, [instances[row] for row in rows], machine)):
+            certified[row] = ok and block.tasks is instances[row].tasks
+    for schedule, instance, ok in zip(schedules, instances, certified):
+        if ok:
+            continue
+        report = validate_schedule(schedule, instance, machine=machine)
+        if not report.is_feasible:
+            raise InfeasibleScheduleError(report)
+
+
+def _certify(
+    block: PlacementBlock, instances: Sequence[Instance], machine: "MachineModel | None"
+) -> list[bool]:
+    """Whether the rules hold for each row, checked on the block's matrices.
+
+    A row drawn from its instance's task tuple passes rule 1 when its
+    placement is a permutation (:attr:`PlacementBlock.complete`).  Each
+    other test is the float expression :func:`validate_schedule`
+    evaluates, over the same values: precedence per task; one resource
+    server as consecutive pairs of start-sorted intervals, several as a
+    running count of starts and ends (idle tasks sort last as ``+inf`` and
+    count 0); memory on the very profile steps the report reads, from the
+    block's profile where it decides the row and from the row's own
+    :func:`memory_steps` where not.  ``False`` decides nothing: the caller
+    builds the report.  (The report pairs equal starts by end; any
+    overlap it finds, some consecutive pair in start order also shows, so
+    the certificate never accepts what the report rejects.)
+    """
+    comm, comp, memory = block.task_columns
+    if np.isnan(comm + comp + memory).any():
+        return [False] * len(block)  # NaN characteristics never compare equal: a task mismatch
+    ok = block.complete & ~(block.comp_start + TOLERANCE < block.comm_end).any(axis=1)
+    machines = [_effective_machine(instance, machine) for instance in instances]
+    link_count, cpu_count, _ = machines[0]
     for starts, durations, ends, limit in (
-        (columns.comm_start, columns.comm, columns.comm_end, link_count),
-        (columns.comp_start, columns.comp, columns.comp_end, cpu_count),
+        (block.comm_start, block.comm, block.comm_end, link_count),
+        (block.comp_start, block.comp, block.comp_end, cpu_count),
     ):
         busy = durations > 0
-        starts, ends = starts[busy], ends[busy]
+        starts = np.where(busy, starts, np.inf)
+        ends = np.where(busy, ends, np.inf)
         if limit == 1:
-            order = np.lexsort((ends, starts))
-            starts, ends = starts[order], ends[order]
-            if (starts[1:] < ends[:-1] - TOLERANCE).any():
-                return False
+            starts, ends = _gather(np.argsort(starts, axis=1, kind="stable"), starts, ends)
+            ok &= ~(starts[:, 1:] < ends[:, :-1] - TOLERANCE).any(axis=1)
         else:
-            times = np.concatenate((starts + TOLERANCE, ends))
-            steps = np.repeat([1, -1], [len(starts), len(ends)])
-            if (np.cumsum(steps[np.lexsort((steps, times))]) > limit).any():
-                return False
-    return not _memory_overruns(columns, capacity)
+            times = np.concatenate((starts + TOLERANCE, ends), axis=1)
+            steps = np.concatenate((busy, busy), axis=1) * np.repeat([1, -1], busy.shape[1])
+            (steps,) = _gather(np.lexsort((steps, times), axis=1), steps)
+            depth = np.cumsum(steps, axis=1)
+            ok &= ~(depth > limit).any(axis=1)
+    capacity = np.array([capacity for _, _, capacity in machines])
+    bounded = np.isfinite(capacity)
+    if bounded.any():
+        _, usage, ends, decided = block.memory_profile()
+        # Absolute tolerance for small (unit-free) instances, relative
+        # tolerance for byte-sized capacities where float accumulation
+        # noise is larger.
+        with np.errstate(invalid="ignore"):
+            limit = capacity + np.maximum(TOLERANCE, 1e-9 * capacity)
+        over = (ends & (usage > limit[:, None])).any(axis=1)
+        ok &= ~(bounded & decided & over)
+        for row in np.flatnonzero(ok & bounded & ~decided).tolist():
+            columns = _row_columns(block, row)
+            ok[row] = not _memory_overruns(columns, float(capacity[row]))
+    return ok.tolist()
+
+
+def _row_columns(block: PlacementBlock, row: int) -> ScheduleColumns:
+    """One row of ``block`` as the schedule's own columns."""
+    return ScheduleColumns(
+        comm_start=block.comm_start[row],
+        comm=block.comm[row],
+        comm_end=block.comm_end[row],
+        comp_start=block.comp_start[row],
+        comp=block.comp[row],
+        comp_end=block.comp_end[row],
+        memory=block.memory[row],
+    )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from ..core.instance import Instance
 from ..core.schedule import Schedule
@@ -41,6 +42,11 @@ TABLE6_HEURISTICS: tuple[str, ...] = (
     "OOSCMR",
     "OOMAMR",
 )
+
+#: Task tuples whose capacity-free order a heuristic keeps (see
+#: ``Heuristic._order_of``): one per batch covers barrier sweeps of traces up
+#: to 6400 tasks at the paper's batch size of 100.
+ORDER_MEMO_SLOTS = 64
 
 #: Order of heuristics on the x-axis of Figures 9 and 11 of the paper.
 #: Lives here (not in the registry) so both the solver registry and the
@@ -119,6 +125,27 @@ class Heuristic(abc.ABC):
         situation instead of parsing it.  The default claims nothing.
         """
         return False
+
+    def _order_of(self, tasks: tuple, compute: Callable[[], tuple]) -> tuple:
+        """``compute()``, kept per task tuple (by identity) for a
+        capacity-free order.
+
+        A capacity sweep builds every factor's instance over one task tuple,
+        and a barrier sweep every factor's batches over the same chunk
+        tuples (:meth:`~repro.core.instance.Instance.batches`), so the order
+        is computed once per tuple.  The last :data:`ORDER_MEMO_SLOTS`
+        tuples are kept: a barrier sweep cycles through all of its batches
+        on every factor.
+        """
+        memo = self.__dict__.setdefault("_order_memo", {})
+        kept = memo.get(id(tasks))
+        if kept is not None and kept[0] is tasks:
+            return kept[1]
+        order = compute()
+        if len(memo) >= ORDER_MEMO_SLOTS:
+            del memo[next(iter(memo))]
+        memo[id(tasks)] = (tasks, order)  # holding the tuple keeps its id unique
+        return order
 
     def kernel_policy(self, instance: Instance) -> SelectionPolicy | None:
         """Policy expressing this heuristic on the unified simulation kernel.

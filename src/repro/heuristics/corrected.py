@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from ..core.instance import Instance
 from ..core.schedule import Schedule
-from ..core.task import Task
 from ..flowshop.johnson import johnson_order
 from ..simulator.columnar import columnar_johnson_order
 from ..simulator.online import OnlineCorrectedPolicy, WindowedCorrectedPolicy
@@ -37,18 +36,14 @@ class CorrectedHeuristic(Heuristic):
 
     category = Category.CORRECTED
     criterion = staticmethod(smallest_communication)
-    #: Johnson's order ignores the capacity, so :meth:`kernel_policy` keeps
-    #: the last one per task tuple, as capacity-free static orders do: a
-    #: capacity sweep over one trace sorts it once.
-    _order_memo: tuple[tuple[Task, ...], tuple[str, ...]] | None = None
 
     def kernel_policy(self, instance: Instance) -> CorrectedOrderPolicy:
-        memo = self._order_memo
-        if memo is not None and memo[0] is instance.tasks:
-            order = memo[1]
-        else:
-            order = tuple(task.name for task in columnar_johnson_order(instance))
-            self._order_memo = (instance.tasks, order)
+        # Johnson's order ignores the capacity: kept per task tuple, as
+        # capacity-free static orders are, so a capacity sweep sorts it once.
+        order = self._order_of(
+            instance.tasks,
+            lambda: tuple(task.name for task in columnar_johnson_order(instance)),
+        )
         return CorrectedOrderPolicy(order=order, criterion=type(self).criterion, name=self.name)
 
     def online_policy(self, instance: Instance) -> OnlineCorrectedPolicy:

@@ -46,26 +46,29 @@ class StaticOrderHeuristic(Heuristic):
 
     category = Category.STATIC
     #: Whether :meth:`order` ignores ``instance.capacity``.  Such an order
-    #: is resolved once per task tuple: :meth:`kernel_policy` keeps the
-    #: last one, so a capacity sweep over one trace (every factor's instance
-    #: shares the trace's task tuple) resolves it once.  The default assumes
-    #: the order reads the capacity; a subclass that overrides :meth:`order`
-    #: of a capacity-free class to read it must set this back to ``False``.
+    #: is resolved once per task tuple (``Heuristic._order_of``), so a
+    #: capacity sweep over one trace (every factor's instance shares the
+    #: trace's task tuple) resolves it once.  The default assumes the order
+    #: reads the capacity; a subclass that overrides :meth:`order` of a
+    #: capacity-free class to read it must set this back to ``False``.
     order_ignores_capacity: bool = False
-    _order_memo: tuple[tuple[Task, ...], tuple[Task, ...]] | None = None
+    #: Whether :meth:`order` sorts the tasks by a key of each task alone,
+    #: ties broken by name (the key sorts and Johnson's rule): any subset's
+    #: order is then the whole order restricted to it.
+    key_sorted: bool = False
 
     def order(self, instance: Instance) -> Sequence[Task]:
         """Return the tasks of ``instance`` in the order to execute them."""
         raise NotImplementedError
 
     def kernel_policy(self, instance: Instance) -> FixedOrderPolicy:
-        memo = self._order_memo
-        if memo is not None and memo[0] is instance.tasks:
-            order = memo[1]
+        def resolved() -> tuple[Task, ...]:
+            return tuple(resolve_order(instance, self.order(instance)))
+
+        if self.order_ignores_capacity:
+            order = self._order_of(instance.tasks, resolved)
         else:
-            order = tuple(resolve_order(instance, self.order(instance)))
-            if self.order_ignores_capacity:
-                self._order_memo = (instance.tasks, order)
+            order = resolved()
         return FixedOrderPolicy(order, name=self.name)
 
     def online_policy(self, instance: Instance) -> OnlinePlanPolicy:
@@ -74,12 +77,21 @@ class StaticOrderHeuristic(Heuristic):
         The planner sees the arrived, un-transferred tasks as a windowed
         sub-instance (same capacity), so capacity-aware orders — bin packing
         in particular — re-plan against the full capacity each epoch.  With
-        every release at zero this reduces to the offline fixed order.
+        every release at zero this reduces to the offline fixed order.  A
+        :attr:`key_sorted` order is the whole instance's order restricted to
+        the ready set, which is the ready set's own order.
         """
+        if self.key_sorted:
+            rank = {task.name: k for k, task in enumerate(self.kernel_policy(instance).tasks)}
 
-        def planner(ready: Sequence[Task]) -> list[Task]:
-            window = Instance(ready, capacity=instance.capacity, name=instance.name)
-            return resolve_order(window, self.order(window))
+            def planner(ready: Sequence[Task]) -> list[Task]:
+                return sorted(ready, key=lambda task: rank[task.name])
+
+        else:
+
+            def planner(ready: Sequence[Task]) -> list[Task]:
+                window = Instance(ready, capacity=instance.capacity, name=instance.name)
+                return resolve_order(window, self.order(window))
 
         return OnlinePlanPolicy(planner=planner, name=self.name)
 
@@ -122,6 +134,7 @@ class _KeySortedHeuristic(StaticOrderHeuristic):
     columnar_key: str = ""
     reverse: bool = False
     order_ignores_capacity = True
+    key_sorted = True
 
     def order(self, instance: Instance) -> Sequence[Task]:
         return columnar_key_order(instance, key=self.columnar_key, reverse=self.reverse)
@@ -134,6 +147,7 @@ class OptimalOrderInfiniteMemory(StaticOrderHeuristic):
     description = "Order of the optimal infinite-memory schedule (Johnson's rule)."
     favorable_situation = "Memory capacity is not a restriction (optimal in that case)."
     order_ignores_capacity = True
+    key_sorted = True
 
     def order(self, instance: Instance) -> Sequence[Task]:
         return columnar_johnson_order(instance)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from ..core.instance import Instance
 from ..core.schedule import Schedule
-from .columnar import _normalise_engine
+from .columnar import ColumnarSchedule, _normalise_engine, columnar_view
 from .engine import SimulationResult
 from .events import EventTrace
 from .resources import MachineModel
@@ -118,16 +118,22 @@ def _simulate_barrier(
     record: bool,
     engine: str | None,
 ) -> SimulationResult:
-    """One kernel run per batch, each shifted to the previous drain instant."""
-    entries = []
+    """One kernel run per batch, each shifted to the previous drain instant.
+
+    When every batch's schedule is drawn from its batch's task tuple, the
+    merged schedule is a :class:`ColumnarSchedule` over ``instance.tasks``
+    (so a sweep's barrier rows join the block pass), else a plain
+    :class:`Schedule`; the placements are the same either way.
+    """
+    runs: list[tuple[Schedule, float]] = []
     traces: list[EventTrace] = []
     engines: set[str] = set()
     stats = None
     offset = 0.0
-    for batch in instance.batches(batch_size):
+    batches = instance.batches(batch_size)
+    for batch in batches:
         result = solver.simulate(batch, machine=machine, record=record, engine=engine)
-        shifted = result.schedule.shifted(offset)
-        entries.extend(shifted.entries)
+        runs.append((result.schedule, offset))
         batch_engine = getattr(result, "engine", "")
         if batch_engine:
             engines.add(batch_engine)
@@ -144,10 +150,37 @@ def _simulate_barrier(
     else:
         merged_engine = "mixed"
     return SimulationResult(
-        schedule=Schedule(entries),
+        schedule=_merged(instance, batches, runs),
         trace=EventTrace.merged(traces) if record else None,
         engine=merged_engine,
         stats=stats,
+    )
+
+
+def _merged(
+    instance: Instance, batches: list[Instance], runs: list[tuple[Schedule, float]]
+) -> Schedule:
+    """The batches' schedules, each shifted by its offset, as one schedule."""
+    sources = [schedule.source_placement() for schedule, _ in runs]
+    if not all(
+        source is not None and source.tasks is batch.tasks and len(source.placed) == len(batch)
+        for source, batch in zip(sources, batches)
+    ):
+        return Schedule(
+            entry for schedule, offset in runs for entry in schedule.shifted(offset).entries
+        )
+    placed: list[int] = []
+    comm_starts: list[float] = []
+    comp_starts: list[float] = []
+    for source, (_, offset) in zip(sources, runs):
+        base = len(comm_starts)
+        placed += [base + i for i in source.placed.tolist()]
+        # Schedule.shifted's arithmetic, so the placements stay the same.
+        comm_starts += [max(0.0, start + offset) for start in source.comm_starts.tolist()]
+        comp_starts += [max(0.0, start + offset) for start in source.comp_starts.tolist()]
+    view = columnar_view(instance)
+    return ColumnarSchedule(
+        view.tasks, placed, comm_starts, comp_starts, columns=(view.comm, view.comp, view.memory)
     )
 
 

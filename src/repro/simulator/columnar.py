@@ -75,7 +75,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..core.instance import Instance
-from ..core.schedule import Schedule, ScheduleColumns, ScheduledTask
+from ..core.schedule import Schedule, ScheduleColumns, ScheduledTask, SourcePlacement
 from ..core.task import Task
 from ..core.validation import TOLERANCE
 from ..obs import spans as _obs
@@ -370,16 +370,17 @@ class ColumnarSchedule(Schedule):
 
     Aggregates that reduce over whole columns (``makespan``, busy times,
     and the interval sweep behind overlap, idle times and the memory
-    profile) run on the arrays, and so does
-    :func:`~repro.core.validation.check_schedule`'s feasibility
-    certificate; anything that needs row objects (``entries``, name
-    lookup, a validation report, equality against an eagerly-built
-    schedule) triggers a one-time materialisation that is transparent to
+    profile) run on the arrays, and a sweep's rows stack through
+    :meth:`source_placement` into the block pass behind
+    :func:`~repro.core.metrics.evaluate_schedules` and
+    :func:`~repro.core.validation.check_schedules`.  Anything that needs
+    row objects (``entries``, name lookup, a validation report, equality
+    against an eagerly-built schedule) triggers a one-time materialisation that is transparent to
     callers — a ``ColumnarSchedule`` compares equal to the object kernel's
     :class:`Schedule` with the same placements.
     """
 
-    __slots__ = ("_tasks", "_placed", "_comm_starts", "_comp_starts", "_columns")
+    __slots__ = ("_tasks", "_placed", "_comm_starts", "_comp_starts", "_columns", "_source")
 
     def __init__(
         self,
@@ -396,6 +397,7 @@ class ColumnarSchedule(Schedule):
         self._comm_starts = comm_starts
         self._comp_starts = comp_starts
         self._columns = columns
+        self._source: SourcePlacement | None = None
 
     def __getattr__(self, name: str):
         # Only ever reached when a slot is unset: build the row view once.
@@ -464,12 +466,19 @@ class ColumnarSchedule(Schedule):
             comp=comp,
             comp_end=comp_start + comp,
             memory=memory,
-            index=index,
         )
 
-    @property
-    def source_tasks(self) -> tuple[Task, ...]:
-        return self._tasks
+    def source_placement(self) -> SourcePlacement:
+        # As arrays, converted once: validation and metrics both stack it.
+        if self._source is None:
+            self._source = SourcePlacement(
+                self._tasks,
+                self._view_columns(),
+                np.asarray(self._placed, dtype=np.intp),
+                np.asarray(self._comm_starts, dtype=np.float64),
+                np.asarray(self._comp_starts, dtype=np.float64),
+            )
+        return self._source
 
     def _view_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._columns is None:

@@ -15,7 +15,11 @@ from repro.heuristics import (
     OrderOfSubmission,
     StaticOrderHeuristic,
 )
+from repro import Study
+from repro.heuristics.base import ORDER_MEMO_SLOTS
 from repro.heuristics.baselines import ExactNoWait
+from repro.simulator import OnlinePlanPolicy, PoissonArrivals, resolve_order, run_online
+from repro.traces.generator import synthetic_trace
 
 EXPECTED_MAKESPANS = {
     "OOSIM": 15.0,
@@ -141,12 +145,19 @@ class TestOrderMemo:
         heuristic.kernel_policy(Instance(self.tasks(), capacity=6.0))
         assert type(heuristic).calls == 2
 
-    def test_memo_holds_one_entry(self):
+    def test_memo_holds_the_last_tuples(self):
         heuristic = self.counting(OptimalOrderInfiniteMemory)()
-        first, second = self.tasks(), self.tasks()
-        for tasks in (first, second, first):
+        tuples = [self.tasks() for _ in range(ORDER_MEMO_SLOTS + 1)]
+        for tasks in (tuples[0], tuples[1], tuples[0]):
             heuristic.kernel_policy(Instance(tasks, capacity=6.0))
-        assert type(heuristic).calls == 3
+        assert type(heuristic).calls == 2
+        for tasks in tuples[2:]:  # fills the memo: the oldest tuple drops out
+            heuristic.kernel_policy(Instance(tasks, capacity=6.0))
+        calls = type(heuristic).calls
+        heuristic.kernel_policy(Instance(tuples[-1], capacity=6.0))
+        assert type(heuristic).calls == calls
+        heuristic.kernel_policy(Instance(tuples[0], capacity=6.0))
+        assert type(heuristic).calls == calls + 1
 
     def test_bin_packing_resolves_on_every_call(self):
         heuristic = self.counting(BinPackingFirstFit)()
@@ -172,3 +183,58 @@ class TestOrderMemo:
         for capacity in (6.0, 7.0, 8.0):
             heuristic.kernel_policy(Instance(tasks, capacity=capacity))
         assert Reverse.calls == 3
+
+
+def test_barrier_sweep_resolves_each_batch_order_once(monkeypatch):
+    """Every factor's batches share the chunk tuples, so the kept orders
+    hit on 8 of the 9 default factors."""
+    batches = []
+    original = IncreasingCommunication.order
+
+    def counting(self, instance):
+        batches.append(instance.tasks)
+        return original(self, instance)
+
+    monkeypatch.setattr(IncreasingCommunication, "order", counting)
+    trace = synthetic_trace("mixed-intensity", tasks=250, seed=0)
+    results = Study().traces(trace).solvers("IOCMS").batched(100).run()
+    assert len(set(results.column("capacity_factor"))) == 9
+    assert len(batches) == 3  # one per batch, on the first factor only
+    assert len(set(map(id, batches))) == 3
+
+
+KEY_SORTED = (
+    OptimalOrderInfiniteMemory,
+    IncreasingCommunication,
+    DecreasingComputation,
+    IncreasingCommPlusComp,
+    DecreasingCommPlusComp,
+)
+
+
+def test_key_sorted_declarations():
+    for cls in KEY_SORTED:
+        assert cls.key_sorted, cls.name
+    for cls in (OrderOfSubmission, GilmoreGomory, BinPackingFirstFit, StaticOrderHeuristic):
+        assert not cls.key_sorted, cls.name
+
+
+@pytest.mark.parametrize("base", KEY_SORTED, ids=lambda cls: cls.name)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_streaming_key_sort_equals_the_window_planner(base, seed):
+    """Restricting the whole order to each epoch's ready set schedules
+    exactly what re-sorting a windowed sub-instance per epoch does."""
+    instance = synthetic_trace("mixed-intensity", tasks=120, seed=seed).to_instance()
+    instance = instance.with_capacity_factor(1.25)
+    heuristic = base()
+
+    def window_planner(ready):
+        window = Instance(ready, capacity=instance.capacity, name=instance.name)
+        return resolve_order(window, heuristic.order(window))
+
+    arrivals = PoissonArrivals(load=1.3)
+    expected = run_online(
+        instance, OnlinePlanPolicy(planner=window_planner), arrivals=arrivals, seed=seed
+    ).schedule
+    got = run_online(instance, heuristic, arrivals=arrivals, seed=seed).schedule
+    assert [repr(entry) for entry in got] == [repr(entry) for entry in expected]

@@ -230,6 +230,29 @@ class TestPipelinedBatches:
         assert kernel == Schedule(entries)
 
 
+    @pytest.mark.parametrize("machine", [None, MachineModel(cpu_count=2)], ids=["paper", "2-cpu"])
+    def test_barrier_rows_are_byte_identical_to_the_concatenation(self, machine):
+        from repro.simulator import ColumnarSchedule
+        from repro.traces import synthetic_trace
+
+        instance = synthetic_trace("heterogeneous", tasks=230, seed=3).to_instance_with_factor(1.25)
+        for solver in resolve_solvers(*SOLVER_NAMES):
+            entries, offset = [], 0.0
+            for batch in instance.batches(100):
+                schedule = solver.simulate(batch, machine=machine).schedule
+                entries.extend(schedule.shifted(offset).entries)
+                offset += schedule.makespan
+            merged = simulate_in_batches(instance, solver, batch_size=100, machine=machine)
+            schedule = merged.schedule
+            # Columnar batches merge into a row of the instance's own tuple;
+            # object-kernel batches (two CPUs) into a plain schedule.
+            assert isinstance(schedule, ColumnarSchedule) is (machine is None), solver.name
+            if machine is None:
+                assert schedule.source_placement().tasks is instance.tasks
+            assert [repr(e) for e in schedule] == [repr(e) for e in entries], solver.name
+            assert repr(schedule.makespan) == repr(Schedule(entries).makespan), solver.name
+
+
 class TestBatchNaming:
     def test_named_instance_batches_keep_provenance(self, instance):
         named = Instance(instance.tasks, capacity=instance.capacity, name="trace/p000")
